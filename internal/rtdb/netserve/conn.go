@@ -6,16 +6,15 @@ import (
 	"sync"
 	"time"
 
-	"rtc/internal/rtdb/server"
 	"rtc/internal/rtwire"
 )
 
-// conn is one live connection bound to one server session.
+// conn is one live connection bound to one backend session.
 type conn struct {
 	n    *Server
 	nc   net.Conn
 	br   *bufio.Reader
-	sess *server.Session
+	sess Session
 
 	// writeq is the bounded outgoing frame queue; writeLoop drains it.
 	// done closes after every producer is finished (inflight waited), so
@@ -234,14 +233,10 @@ func (c *conn) dispatch(f rtwire.Frame) bool {
 	switch m := msg.(type) {
 	case rtwire.Sample:
 		c.n.Wire.SamplesIn.Add(1)
-		switch err := c.sess.InjectSample(m.Image, m.Value); err {
-		case nil:
-		case server.ErrBackpressure:
-			c.n.Wire.BackpressureFrames.Add(1)
-			c.tryEnqueue(rtwire.Err{ID: m.ID, Code: rtwire.CodeBackpressure, Msg: "session queue full"}.AppendTo(c.getBuf()))
-		default: // ErrClosed
-			c.tryEnqueue(rtwire.Err{ID: m.ID, Code: rtwire.CodeClosed, Msg: err.Error()}.AppendTo(c.getBuf()))
-			return false
+		if err := c.sess.InjectSample(m.Image, m.Value); err != nil {
+			frame, serving := c.refuse(m.ID, err)
+			c.tryEnqueue(frame)
+			return serving
 		}
 	case rtwire.Query:
 		c.n.Wire.QueriesIn.Add(1)
@@ -258,12 +253,12 @@ func (c *conn) dispatch(f rtwire.Frame) bool {
 		}()
 	case rtwire.AsOf:
 		c.n.Wire.AsOfReads.Add(1)
-		v, ok := c.n.srv.ValueAsOf(m.Image, m.At)
+		v, ok, horizon := c.n.b.AsOf(m.Image, m.At)
 		c.enqueue(rtwire.AsOfResult{
-			ID: m.ID, OK: ok, Value: v, Horizon: c.n.srv.HistoryHorizon(),
+			ID: m.ID, OK: ok, Value: v, Horizon: horizon,
 		}.AppendTo(c.getBuf()))
 	case rtwire.MetricsReq:
-		snap := c.n.srv.Metrics.Snapshot()
+		snap := c.n.b.Counters().Snapshot()
 		pairs := snap.Pairs()
 		if c.n.opt.Shards > 1 {
 			pairs = snap.PairsSharded(c.n.opt.Shard, c.n.opt.Shards)
@@ -273,20 +268,7 @@ func (c *conn) dispatch(f rtwire.Frame) bool {
 			wp = append(wp, rtwire.MetricPair{Name: p.Name, Value: p.Value})
 		}
 		wp = c.n.Wire.Snapshot().appendPairs(wp)
-		// Durability coordinates: failover tooling compares a promoted
-		// node's wal_seq against the watermark heard from the old primary.
-		if l := c.n.srv.WAL(); l != nil {
-			wp = append(wp,
-				rtwire.MetricPair{Name: "wal_seq", Value: l.Seq()},
-				// Under group commit wal_durable may trail wal_seq by the
-				// open window; they converge at every commit.
-				rtwire.MetricPair{Name: "wal_durable", Value: l.DurableSeq()},
-			)
-		}
-		wp = append(wp,
-			rtwire.MetricPair{Name: "epoch", Value: c.n.srv.Epoch()},
-			rtwire.MetricPair{Name: "repl_durable", Value: c.n.ReplDurable()},
-		)
+		wp = c.n.b.AppendRows(wp)
 		c.enqueue(rtwire.Metrics{ID: m.ID, Pairs: wp}.AppendTo(c.getBuf()))
 	case rtwire.Flush:
 		select {
@@ -299,18 +281,20 @@ func (c *conn) dispatch(f rtwire.Frame) bool {
 			defer c.inflight.Done()
 			defer func() { <-c.sem }()
 			if err := c.sess.Flush(); err != nil {
-				c.enqueue(rtwire.Err{ID: m.ID, Code: rtwire.CodeClosed, Msg: err.Error()}.AppendTo(c.getBuf()))
+				frame, _ := c.refuse(m.ID, err)
+				c.enqueue(frame)
 				return
 			}
-			c.enqueue(rtwire.Flushed{ID: m.ID, Chronon: c.n.srv.Now()}.AppendTo(c.getBuf()))
+			c.enqueue(rtwire.Flushed{ID: m.ID, Chronon: c.n.b.Now()}.AppendTo(c.getBuf()))
 		}()
 	case rtwire.Subscribe:
 		if c.repl {
 			c.tryEnqueue(rtwire.Err{Code: rtwire.CodeBadRequest, Msg: "already subscribed"}.AppendTo(c.getBuf()))
 			return true
 		}
-		if c.n.srv.WAL() == nil {
-			c.tryEnqueue(rtwire.Err{Code: rtwire.CodeBadRequest, Msg: "replication unavailable: server runs without a wal"}.AppendTo(c.getBuf()))
+		if c.n.b.WAL() == nil {
+			frame, _ := c.refuse(0, ErrNoReplication)
+			c.tryEnqueue(frame)
 			return true
 		}
 		c.repl = true
@@ -333,11 +317,11 @@ func (c *conn) dispatch(f rtwire.Frame) bool {
 		c.subCancel(m.ID)
 	case rtwire.Heartbeat:
 		c.n.Wire.HeartbeatsIn.Add(1)
-		// The echoed Seq is the replication durability watermark, NOT the
-		// local WAL tail: a client may rely on it surviving this node's
-		// death, so it must only cover what a follower has acknowledged.
+		// The echoed Seq is what the backend vouches for — on a primary the
+		// replication durability watermark, NOT the local WAL tail: a
+		// client may rely on it surviving this node's death.
 		c.tryEnqueue(rtwire.Heartbeat{
-			Epoch: c.n.srv.Epoch(), Chronon: c.n.srv.Now(), Seq: c.n.ReplDurable(),
+			Epoch: c.n.b.Epoch(), Chronon: c.n.b.Now(), Seq: c.n.b.Vouched(),
 		}.AppendTo(c.getBuf()))
 	case rtwire.Bye:
 		return false
@@ -355,9 +339,9 @@ func (c *conn) dispatch(f rtwire.Frame) bool {
 func (c *conn) serveQuery(m rtwire.Query) {
 	qr, expired := Translate(m)
 	if expired {
-		c.n.srv.Metrics.AccountExpired()
+		c.n.b.Counters().AccountExpired()
 		c.n.Wire.ExpiredOnArrival.Add(1)
-		now := c.n.srv.Now()
+		now := c.n.b.Now()
 		c.enqueue(rtwire.Result{
 			ID: m.ID, Missed: true, Evaluated: false,
 			Issue: now, Served: now, ExpiredOnArrival: true,
@@ -365,16 +349,11 @@ func (c *conn) serveQuery(m rtwire.Query) {
 		return
 	}
 	resp, err := c.sess.Query(qr)
-	switch err {
-	case nil:
-	case server.ErrBackpressure:
-		// The server accounted the rejection (and the miss, for
+	if err != nil {
+		// The backend accounted the refusal (and the miss, for
 		// deadline-carrying queries); tell the client explicitly.
-		c.n.Wire.BackpressureFrames.Add(1)
-		c.enqueue(rtwire.Err{ID: m.ID, Code: rtwire.CodeBackpressure, Msg: "session queue full"}.AppendTo(c.getBuf()))
-		return
-	default:
-		c.enqueue(rtwire.Err{ID: m.ID, Code: rtwire.CodeClosed, Msg: err.Error()}.AppendTo(c.getBuf()))
+		frame, _ := c.refuse(m.ID, err)
+		c.enqueue(frame)
 		return
 	}
 	c.enqueue(rtwire.Result{
@@ -382,4 +361,15 @@ func (c *conn) serveQuery(m rtwire.Query) {
 		Useful: resp.Useful, Missed: resp.Missed, Evaluated: resp.Evaluated,
 		Issue: resp.Issue, Served: resp.Served,
 	}.AppendTo(c.getBuf()))
+}
+
+// refuse encodes the Err frame answering a refused request, its code taken
+// from the refusal table. serving is false when the refusal was no table
+// row — the backend is closing and so is the connection.
+func (c *conn) refuse(id uint64, err error) (frame []byte, serving bool) {
+	code, serving := refusalCode(err)
+	if code == rtwire.CodeBackpressure {
+		c.n.Wire.BackpressureFrames.Add(1)
+	}
+	return rtwire.Err{ID: id, Code: code, Msg: err.Error()}.AppendTo(c.getBuf()), serving
 }

@@ -1,7 +1,9 @@
 package netserve
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"rtc/internal/faultfs"
 	"rtc/internal/rtdb/client"
@@ -53,6 +55,49 @@ func TestMetricsDurabilityRows(t *testing.T) {
 	// No window is open (Sync-off log), so the durable tail equals the tail.
 	if got := mm["wal_durable"]; got != mm["wal_seq"] {
 		t.Errorf("wal_durable row = %d, want wal_seq %d", got, mm["wal_seq"])
+	}
+}
+
+// TestMetricsFsyncRowsLive: the fsync_* and group_commit* rows are read
+// from the WAL when the snapshot is taken, so a scrape over the wire in the
+// middle of a run — long before Stop — already shows the fsyncs a synced
+// log has paid, per-append and grouped alike.
+func TestMetricsFsyncRowsLive(t *testing.T) {
+	for _, window := range []time.Duration{0, 200 * time.Microsecond} {
+		t.Run(fmt.Sprintf("window=%v", window), func(t *testing.T) {
+			l, err := wal.Open(wal.Options{Dir: "wal", FS: faultfs.NewMem(1), Sync: true, GroupWindow: window})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			cfg := testConfig()
+			cfg.Log, cfg.Sessions = l, 2
+			_, _, addr := startNet(t, cfg, Options{})
+			c, err := client.Dial(addr, client.Options{Name: "fsync-probe"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			for i := 0; i < 8; i++ {
+				if err := c.InjectSample("temp", fmt.Sprint(20+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			mm := fetchMetricRows(t, addr)
+			if mm["fsync_count"] == 0 || mm["fsync_total_ns"] == 0 {
+				t.Fatalf("mid-run fsync rows: count %d total_ns %d, want > 0", mm["fsync_count"], mm["fsync_total_ns"])
+			}
+			if st := l.Stats(); mm["fsync_count"] > st.FsyncCount {
+				t.Errorf("fsync_count row %d ahead of the log's %d", mm["fsync_count"], st.FsyncCount)
+			}
+			if window > 0 && (mm["group_commits"] == 0 || mm["grouped_appends"] == 0) {
+				t.Errorf("mid-run group-commit rows: commits %d appends %d, want > 0",
+					mm["group_commits"], mm["grouped_appends"])
+			}
+		})
 	}
 }
 

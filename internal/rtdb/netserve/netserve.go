@@ -1,7 +1,10 @@
-// Package netserve puts the rtdbd server on the wire: a TCP listener that
-// maps each accepted connection onto one of the server's client sessions
+// Package netserve puts an rtdbd node on the wire: a TCP listener that
+// maps each accepted connection onto one of the node's client sessions
 // and speaks the rtwire protocol — timed samples, aperiodic queries with
-// the §4.1 deadline envelope, temporal as-of reads, and metrics snapshots.
+// the §4.1 deadline envelope, temporal as-of reads, standing queries,
+// replication, and metrics snapshots. One frame loop serves every role: a
+// primary (New) and a replica's hot standby (NewNode) differ only in the
+// Backend behind it and the refusals its errors map to (backend.go).
 //
 // The serving discipline extends the in-process one without weakening it:
 //
@@ -118,12 +121,12 @@ func (o *Options) defaults() {
 // ErrServerClosed is returned by Serve after Close.
 var ErrServerClosed = errors.New("netserve: server closed")
 
-// Server serves rtwire connections over one rtdb server.
+// Server serves rtwire connections over one node.
 type Server struct {
-	srv *server.Server
+	b   Backend
 	opt Options
 
-	// pool holds the ids of free server sessions; a connection owns
+	// pool holds the ids of free backend sessions; a connection owns
 	// exactly one session for its lifetime.
 	pool chan int
 
@@ -151,20 +154,27 @@ type Server struct {
 	Wire WireMetrics
 }
 
-// New wraps srv. Every session of srv is placed in the connection pool, so
-// srv.Config.Sessions bounds the concurrent connections; an accept beyond
-// that is refused with CodeServerFull.
+// New serves the primary srv. Every session of srv is placed in the
+// connection pool, so srv.Config.Sessions bounds the concurrent
+// connections; an accept beyond that is refused with CodeServerFull.
 func New(srv *server.Server, opt Options) *Server {
+	p := &primary{Server: srv}
+	p.n = NewNode(p, opt)
+	return p.n
+}
+
+// NewNode serves any backend — the primary New wraps, or a hot standby.
+func NewNode(b Backend, opt Options) *Server {
 	opt.defaults()
 	n := &Server{
-		srv:       srv,
+		b:         b,
 		opt:       opt,
 		conns:     make(map[*conn]struct{}),
 		replAcked: make(map[*conn]uint64),
 		quit:      make(chan struct{}),
 	}
-	n.pool = make(chan int, srv.Sessions())
-	for id := 0; id < srv.Sessions(); id++ {
+	n.pool = make(chan int, b.Sessions())
+	for id := 0; id < b.Sessions(); id++ {
 		n.pool <- id
 	}
 	return n
@@ -197,6 +207,13 @@ func (n *Server) Serve(ln net.Listener) error {
 	}
 	n.ln = ln
 	n.mu.Unlock()
+	select {
+	case <-n.quit:
+		// Close ran before Serve bound the listener; it cannot close it.
+		_ = ln.Close()
+		return ErrServerClosed
+	default:
+	}
 	for {
 		c, err := ln.Accept()
 		if err != nil {
@@ -254,6 +271,16 @@ func (n *Server) Close() error {
 	})
 	n.wg.Wait()
 	return nil
+}
+
+// Announce sends m to every live connection, best effort: a standby tells
+// its clients it was promoted.
+func (n *Server) Announce(m rtwire.PromoteInfo) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for c := range n.conns {
+		c.tryEnqueue(m.AppendTo(c.getBuf()))
+	}
 }
 
 // register tracks a live connection so Close can interrupt its read.
@@ -360,7 +387,7 @@ func (n *Server) handle(nc net.Conn) {
 
 	c := &conn{
 		n: n, nc: nc, br: br,
-		sess:   n.srv.Session(session),
+		sess:   n.b.Session(session),
 		writeq: make(chan []byte, n.opt.WriteQueue),
 		done:   make(chan struct{}),
 		wdone:  make(chan struct{}),
@@ -375,8 +402,8 @@ func (n *Server) handle(nc net.Conn) {
 
 	go c.writeLoop()
 	c.enqueue(rtwire.Welcome{
-		Session: uint64(session), Chronon: n.srv.Now(),
-		Epoch: n.srv.Epoch(), Role: rtwire.RolePrimary,
+		Session: uint64(session), Chronon: n.b.Now(),
+		Epoch: n.b.Epoch(), Role: n.b.Role(),
 		Shards: uint64(n.opt.Shards), Shard: uint64(n.opt.Shard),
 	}.Encode())
 

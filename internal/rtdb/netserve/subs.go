@@ -2,7 +2,6 @@ package netserve
 
 import (
 	"rtc/internal/deadline"
-	"rtc/internal/rtdb/server"
 	"rtc/internal/rtdb/sub"
 	"rtc/internal/rtwire"
 	"rtc/internal/timeseq"
@@ -50,12 +49,14 @@ func translateSub(query string, period timeseq.Time, kind deadline.Kind,
 type subPump struct {
 	c  *conn
 	id uint64
-	ss *server.ServerSub
+	ss Sub
 }
 
 // subAttach admits one SubOpen/SubResume: duplicate ids are a protocol
-// error, a refused envelope answers with a refused SubAck (no attachment,
-// no pump), an admitted one acks the cursor base and starts its pump.
+// error, a refusal from the refusal table (a standby's firm envelope)
+// answers with its Err code, any other refused envelope with a refused
+// SubAck (no attachment, no pump), and an admitted one acks the cursor
+// base and starts its pump.
 func (c *conn) subAttach(id uint64, spec sub.Spec, expired bool, depth int, after uint64) {
 	c.n.Wire.SubsIn.Add(1)
 	if _, dup := c.subs[id]; dup {
@@ -63,7 +64,7 @@ func (c *conn) subAttach(id uint64, spec sub.Spec, expired bool, depth int, afte
 		return
 	}
 	if !expired {
-		ss, err := c.n.srv.Subscribe(spec, after, depth)
+		ss, err := c.n.b.Subscribe(spec, after, depth)
 		if err == nil {
 			if c.subs == nil {
 				c.subs = make(map[uint64]*subPump)
@@ -71,15 +72,20 @@ func (c *conn) subAttach(id uint64, spec sub.Spec, expired bool, depth int, afte
 			p := &subPump{c: c, id: id, ss: ss}
 			c.subs[id] = p
 			c.enqueue(rtwire.SubAck{
-				ID: id, State: rtwire.SubAdmitted, Cursor: after, Chronon: c.n.srv.Now(),
+				ID: id, State: rtwire.SubAdmitted, Cursor: after, Chronon: c.n.b.Now(),
 			}.AppendTo(c.getBuf()))
 			c.inflight.Add(1)
 			go p.run()
 			return
 		}
+		if _, table := refusalCode(err); table {
+			frame, _ := c.refuse(id, err)
+			c.enqueue(frame)
+			return
+		}
 	}
 	c.enqueue(rtwire.SubAck{
-		ID: id, State: rtwire.SubRefused, Cursor: after, Chronon: c.n.srv.Now(),
+		ID: id, State: rtwire.SubRefused, Cursor: after, Chronon: c.n.b.Now(),
 	}.AppendTo(c.getBuf()))
 }
 
@@ -96,7 +102,7 @@ func (c *conn) subCancel(id uint64) {
 	delete(c.subs, id)
 	last, _ := p.ss.Cancel()
 	c.enqueue(rtwire.SubAck{
-		ID: id, State: rtwire.SubClosed, Cursor: last, Chronon: c.n.srv.Now(),
+		ID: id, State: rtwire.SubClosed, Cursor: last, Chronon: c.n.b.Now(),
 	}.AppendTo(c.getBuf()))
 }
 
@@ -115,7 +121,8 @@ func (p *subPump) run() {
 				ID: p.id, Cursor: push.Cursor, Dropped: droppedCum,
 				Expired: push.Expired, Useful: push.Useful,
 				Missed: push.Missed, Evaluated: push.Evaluated,
-				Issue: push.Issue, Served: push.Served,
+				Degraded: push.Degraded,
+				Issue:    push.Issue, Served: push.Served,
 				Answers: push.Answers,
 			}.AppendTo(p.c.getBuf())
 			// Block on the write queue (a slow subscriber's backpressure

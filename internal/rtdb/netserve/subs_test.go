@@ -175,14 +175,15 @@ func TestSubResumeOverWire(t *testing.T) {
 		rc.write(rtwire.Sample{ID: uint64(i + 1), Image: "temp", Value: "21"}.Encode())
 	}
 	rc.write(rtwire.Flush{ID: 50}.Encode())
+	// The pump delivers asynchronously, so the ticks the flush applied may
+	// trail its Flushed: read until both have arrived.
 	var pushes []rtwire.Push
-collect:
-	for {
+	for flushed := false; !flushed || len(pushes) == 0; {
 		switch m := rc.read().(type) {
 		case rtwire.Push:
 			pushes = append(pushes, m)
 		case rtwire.Flushed:
-			break collect
+			flushed = true
 		}
 	}
 	rc.write(rtwire.SubCancel{ID: 1}.Encode())
@@ -204,13 +205,17 @@ collect:
 	}
 	rc.write(rtwire.Flush{ID: 51}.Encode())
 	var resumed []rtwire.Push
-collect2:
-	for {
+	for flushed := false; !flushed || len(resumed) == 0; {
 		switch m := rc.read().(type) {
 		case rtwire.Push:
+			// Pushes the closed subscription's pump had already popped may
+			// trail its closing ack (cursors ≤ the ack's); clients drop them.
+			if m.ID == 1 && m.Cursor <= closed.Cursor {
+				continue
+			}
 			resumed = append(resumed, m)
 		case rtwire.Flushed:
-			break collect2
+			flushed = true
 		}
 	}
 	if len(resumed) == 0 {

@@ -26,6 +26,7 @@
 package replica
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -39,7 +40,9 @@ import (
 	"rtc/internal/faultnet"
 	"rtc/internal/rtdb"
 	wal "rtc/internal/rtdb/log"
+	"rtc/internal/rtdb/netserve"
 	"rtc/internal/rtdb/server"
+	"rtc/internal/rtdb/sub"
 	"rtc/internal/rtwire"
 	"rtc/internal/timeseq"
 	"rtc/internal/vtime"
@@ -60,7 +63,9 @@ type Config struct {
 	Catalog  rtdb.Catalog
 	Registry rtdb.DeriveRegistry
 
-	// DialTimeout bounds one connect to the primary (default 5s).
+	// DialTimeout bounds one connect to the primary and each frame write
+	// on the replication link; on the standby listener it bounds a client's
+	// handshake and each frame write to it (default 5s).
 	DialTimeout time.Duration
 	// RetryBackoff / RetryBackoffMax bound the jittered reconnect pauses
 	// (defaults 50ms / 2s); Seed makes the schedule reproducible.
@@ -69,15 +74,13 @@ type Config struct {
 	Seed            uint64
 	// HeartbeatTimeout cuts the primary connection after this much inbound
 	// silence (default 45s — 3× the primary's default beacon interval).
+	// Standby clients are held to the same beacon cadence: the listener
+	// cuts one silent for HeartbeatTimeout.
 	HeartbeatTimeout time.Duration
 	// PromoteAfter, when positive, promotes the replica automatically once
 	// the primary has been silent (counting failed redials) for this long.
 	// Zero means promotion is manual (Promote).
 	PromoteAfter time.Duration
-	// HandshakeTimeout / WriteTimeout bound the standby listener's
-	// handshake and frame writes (defaults 5s / 10s).
-	HandshakeTimeout time.Duration
-	WriteTimeout     time.Duration
 	// Dialer makes the tailer's connections to the primary (default
 	// faultnet.OS — a real TCP dial). Torture tests inject partitions and
 	// stalls into the replication stream through it.
@@ -103,14 +106,19 @@ func (c *Config) defaults() {
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 45 * time.Second
 	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = 5 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
 	if c.Dialer == nil {
 		c.Dialer = faultnet.OS{}
+	}
+}
+
+// serveOptions tunes the standby listener from the replica's own link
+// bounds: a three-interval silence bound of HeartbeatTimeout, and
+// DialTimeout for a handshake or one frame write.
+func (c *Config) serveOptions() netserve.Options {
+	return netserve.Options{
+		HeartbeatInterval: c.HeartbeatTimeout / 3,
+		HandshakeTimeout:  c.DialTimeout,
+		WriteTimeout:      c.DialTimeout,
 	}
 }
 
@@ -162,12 +170,11 @@ type Replica struct {
 	Metrics server.Metrics
 	Repl    Metrics
 
-	cmu    sync.Mutex // guards the standby listener's connection set
-	ln     net.Listener
-	sconns map[*sconn]struct{}
+	cmu     sync.Mutex // guards the standby listeners
+	servers []*netserve.Server
 
-	smu   sync.Mutex // guards the standby subscription registry
-	rsubs map[*sconn]map[uint64]*rsub
+	smu  sync.Mutex // guards the standby standing queries
+	subs *sub.Table
 
 	promotedCh chan struct{}
 	quit       chan struct{}
@@ -188,7 +195,7 @@ func Open(cfg Config) (*Replica, error) {
 		cfg:        cfg,
 		log:        l,
 		seqCh:      make(chan struct{}),
-		sconns:     make(map[*sconn]struct{}),
+		subs:       sub.NewTable(),
 		promotedCh: make(chan struct{}),
 		quit:       make(chan struct{}),
 	}
@@ -276,21 +283,17 @@ func (r *Replica) Promote() (uint64, error) {
 	epoch, err := r.log.BumpEpoch()
 	seq := r.log.Seq()
 	r.mu.Unlock()
-	close(r.promotedCh)
+	// Count before announcing: a Promoted() waiter reads the counter.
 	r.Repl.Promotions.Add(1)
+	close(r.promotedCh)
 	if err != nil {
 		return 0, err
 	}
-	frame := rtwire.PromoteInfo{Epoch: epoch, Seq: seq}.Encode()
 	r.cmu.Lock()
-	conns := make([]*sconn, 0, len(r.sconns))
-	for c := range r.sconns {
-		conns = append(conns, c)
+	for _, ns := range r.servers {
+		ns.Announce(rtwire.PromoteInfo{Epoch: epoch, Seq: seq})
 	}
 	r.cmu.Unlock()
-	for _, c := range conns {
-		c.write(frame, r.cfg.WriteTimeout)
-	}
 	return epoch, nil
 }
 
@@ -305,13 +308,11 @@ func (r *Replica) Close() error {
 		}
 		r.mu.Unlock()
 		r.cmu.Lock()
-		if r.ln != nil {
-			_ = r.ln.Close()
-		}
-		for c := range r.sconns {
-			_ = c.nc.Close()
-		}
+		servers := r.servers
 		r.cmu.Unlock()
+		for _, ns := range servers {
+			_ = ns.Close()
+		}
 	})
 	r.wg.Wait()
 	r.mu.Lock()
@@ -390,7 +391,7 @@ func (r *Replica) streamOnce() error {
 		conn.Close()
 	}()
 
-	_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.DialTimeout))
 	if _, err := conn.Write(rtwire.Hello{Client: r.cfg.Name}.Encode()); err != nil {
 		return err
 	}
@@ -412,9 +413,9 @@ func (r *Replica) streamOnce() error {
 	}
 	_ = r.adoptEpoch(w.Epoch)
 
-	_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout))
-	sub := rtwire.Subscribe{AfterSeq: r.Seq(), Follower: r.cfg.Name}
-	if _, err := conn.Write(sub.Encode()); err != nil {
+	_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.DialTimeout))
+	subscribe := rtwire.Subscribe{AfterSeq: r.Seq(), Follower: r.cfg.Name}
+	if _, err := conn.Write(subscribe.Encode()); err != nil {
 		return err
 	}
 	r.connected.Store(true)
@@ -431,16 +432,17 @@ func (r *Replica) streamOnce() error {
 		case rtwire.WalBatch:
 			switch err := r.applyBatch(m); {
 			case err == nil:
-				// The horizon moved: serve every standby subscription tick it
-				// crossed before acking, so a client that saw the ack'd seq
-				// reflected in a query also has the pushes that apply implies.
+				// The horizon moved: schedule every standby subscription tick
+				// it crossed before acking, so a client that saw the ack'd seq
+				// reflected in a query also has the pushes that apply implies
+				// queued for delivery.
 				r.serveSubTicks()
 			case errors.Is(err, errGap):
 				return err // redial; Subscribe restarts from the local tail
 			default:
 				return err
 			}
-			_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout))
+			_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.DialTimeout))
 			if _, err := conn.Write(rtwire.WalAck{Seq: r.Seq()}.Encode()); err != nil {
 				return err
 			}
@@ -460,6 +462,17 @@ func (r *Replica) streamOnce() error {
 			// Tolerated: unknown-but-decodable frames don't kill the stream.
 		}
 	}
+}
+
+// newFrameReader and readMsg are the tailer's decode path.
+func newFrameReader(nc net.Conn) *bufio.Reader { return bufio.NewReader(nc) }
+
+func readMsg(br *bufio.Reader) (any, error) {
+	f, err := rtwire.ReadFrame(br)
+	if err != nil {
+		return nil, err
+	}
+	return rtwire.Decode(f)
 }
 
 // applyBatch folds one WalBatch into the local log and mirror. It is the

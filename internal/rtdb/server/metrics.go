@@ -18,6 +18,7 @@ package server
 import (
 	"sync/atomic"
 
+	wal "rtc/internal/rtdb/log"
 	"rtc/internal/stats"
 )
 
@@ -72,16 +73,12 @@ type Metrics struct {
 	RuleFirings     atomic.Uint64
 	CascadeDepthMax atomic.Uint64
 
-	WalAppends    atomic.Uint64
-	WalErrors     atomic.Uint64
-	FsyncCount    atomic.Uint64
-	FsyncNanos    atomic.Uint64
-	FsyncMaxNanos atomic.Uint64
-	// Group-commit counters (mirrored from the WAL's stats): batches
-	// released by one fsync, and the appends whose durability rode them.
-	// GroupedAppends / GroupCommits is the realized amortization factor.
-	GroupCommits   atomic.Uint64
-	GroupedAppends atomic.Uint64
+	WalAppends atomic.Uint64
+	WalErrors  atomic.Uint64
+
+	// log is the server's WAL (nil without one); Snapshot reads its fsync
+	// and group-commit counters.
+	log *wal.Log
 }
 
 // MetricsSnapshot is a plain copy of the counters at one instant.
@@ -95,20 +92,24 @@ type MetricsSnapshot struct {
 	AdmissionSkip, ExpiredOnArrival, Degraded uint64
 	PeriodicIssued, PeriodicHit, PeriodicMiss uint64
 
-	SubsOpened, SubsClosed              uint64
-	PushScheduled, Pushed               uint64
-	PushDropped, PushExpired            uint64
+	SubsOpened, SubsClosed   uint64
+	PushScheduled, Pushed    uint64
+	PushDropped, PushExpired uint64
 
 	AsOfReads, RuleFirings, CascadeDepthMax uint64
 
 	WalAppends, WalErrors                 uint64
 	FsyncCount, FsyncNanos, FsyncMaxNanos uint64
-	GroupCommits, GroupedAppends          uint64
+	// Group-commit counters from the WAL's stats: batches released by one
+	// fsync, and the appends whose durability rode them. GroupedAppends /
+	// GroupCommits is the realized amortization factor.
+	GroupCommits, GroupedAppends uint64
 }
 
-// Snapshot copies the counters.
+// Snapshot copies the counters, reading the WAL's fsync and group-commit
+// stats at the same instant.
 func (m *Metrics) Snapshot() MetricsSnapshot {
-	return MetricsSnapshot{
+	s := MetricsSnapshot{
 		Chronon:          m.Chronon.Load(),
 		SamplesIn:        m.SamplesIn.Load(),
 		SamplesRejected:  m.SamplesRejected.Load(),
@@ -136,12 +137,13 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		CascadeDepthMax:  m.CascadeDepthMax.Load(),
 		WalAppends:       m.WalAppends.Load(),
 		WalErrors:        m.WalErrors.Load(),
-		FsyncCount:       m.FsyncCount.Load(),
-		FsyncNanos:       m.FsyncNanos.Load(),
-		FsyncMaxNanos:    m.FsyncMaxNanos.Load(),
-		GroupCommits:     m.GroupCommits.Load(),
-		GroupedAppends:   m.GroupedAppends.Load(),
 	}
+	if m.log != nil {
+		st := m.log.Stats()
+		s.FsyncCount, s.FsyncNanos, s.FsyncMaxNanos = st.FsyncCount, st.FsyncNanos, st.FsyncMaxNanos
+		s.GroupCommits, s.GroupedAppends = st.GroupCommits, st.GroupedAppends
+	}
+	return s
 }
 
 // AccountExpired records a deadline-carrying query that a transport

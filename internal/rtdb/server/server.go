@@ -44,8 +44,9 @@ type Config struct {
 	// reads every so many chronons (default 16).
 	SnapshotEvery timeseq.Time
 	// SubQueueDepth bounds each subscription's push delivery queue when the
-	// subscriber does not choose its own (default 32). A full queue drops
-	// the oldest queued push and counts it — never blocks the apply loop.
+	// subscriber does not choose its own (default DefaultSubQueueDepth).
+	// A full queue drops the oldest queued push and counts it — never
+	// blocks the apply loop.
 	SubQueueDepth int
 	// Log, when set, write-ahead-logs catalog, samples, firings, and query
 	// issues. If the log already holds state, the server recovers from it
@@ -67,9 +68,13 @@ func (c *Config) defaults() {
 		c.SnapshotEvery = 16
 	}
 	if c.SubQueueDepth <= 0 {
-		c.SubQueueDepth = 32
+		c.SubQueueDepth = DefaultSubQueueDepth
 	}
 }
+
+// DefaultSubQueueDepth is the delivery-queue bound of a subscription that
+// does not choose its own, on a primary and on a hot standby alike.
+const DefaultSubQueueDepth = 32
 
 // QueryRequest is one aperiodic query under the §4.1 deadline discipline.
 type QueryRequest struct {
@@ -206,6 +211,7 @@ func New(cfg Config) (*Server, error) {
 		quit:  make(chan struct{}),
 	}
 	s.db = rtdb.New(s.sched)
+	s.Metrics.log = cfg.Log
 
 	recovered := cfg.Log != nil && cfg.Log.State().Events > 0
 	if recovered {
@@ -321,7 +327,6 @@ func (s *Server) Stop() {
 			if err := s.cfg.Log.Sync(); err != nil {
 				s.Metrics.WalErrors.Add(1)
 			}
-			s.syncLogStats()
 		}
 	})
 }
@@ -642,16 +647,6 @@ func (s *Server) replyAfterDurable(reply chan Response, resp Response) {
 		return
 	}
 	reply <- resp
-}
-
-// syncLogStats copies the log's fsync counters into the metrics block.
-func (s *Server) syncLogStats() {
-	st := s.cfg.Log.Stats()
-	s.Metrics.FsyncCount.Store(st.FsyncCount)
-	s.Metrics.FsyncNanos.Store(st.FsyncNanos)
-	s.Metrics.FsyncMaxNanos.Store(st.FsyncMaxNanos)
-	s.Metrics.GroupCommits.Store(st.GroupCommits)
-	s.Metrics.GroupedAppends.Store(st.GroupedAppends)
 }
 
 // maybePublish publishes a fresh HistoricalDatabase snapshot when the

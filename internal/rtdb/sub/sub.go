@@ -61,10 +61,12 @@ type Push struct {
 	Cursor uint64
 	// Expired is the cumulative count of admission-expired ticks among this
 	// attachment's cursors below Cursor, stamped at schedule time.
-	Expired       uint64
-	Useful        uint64
-	Missed        bool
-	Evaluated     bool
+	Expired   uint64
+	Useful    uint64
+	Missed    bool
+	Evaluated bool
+	// Degraded marks a tick a standby served from replicated state.
+	Degraded      bool
 	Issue, Served timeseq.Time
 	Answers       []string
 }

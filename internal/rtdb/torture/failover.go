@@ -2,7 +2,6 @@ package torture
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"rtc/internal/deadline"
@@ -52,31 +51,9 @@ func failoverCatalog() rtdb.Catalog {
 func (c Config) FailoverSweep() *Report {
 	c.defaults()
 	events := Workload(c.Seed, c.Events)
-	rep := &Report{}
-	start, stride := uint64(1), uint64(c.Stride)
-	if c.At > 0 {
-		start, stride = c.At, 0
-	}
-	for at := start; ; at += stride {
-		done, fail := c.failoverPoint(events, at)
-		if done {
-			break
-		}
-		rep.Points++
-		if fail != nil {
-			rep.Failures = append(rep.Failures, *fail)
-		} else {
-			rep.Recoveries++
-		}
-		if c.At > 0 {
-			break
-		}
-	}
-	if c.Logf != nil {
-		c.Logf("failover sweep: seed=%d points=%d recoveries=%d failures=%d",
-			c.Seed, rep.Points, rep.Recoveries, len(rep.Failures))
-	}
-	return rep
+	return c.sweep(&Report{}, "failover sweep:", pass{point: func(at uint64) (bool, *Failure) {
+		return c.failoverPoint(events, at)
+	}})
 }
 
 // failoverPoint runs one workload with a primary power cut armed at
@@ -84,16 +61,11 @@ func (c Config) FailoverSweep() *Report {
 // lies beyond the workload (sweep complete).
 func (c Config) failoverPoint(events []wal.Event, at uint64) (done bool, fail *Failure) {
 	memP := faultfs.NewMem(pointSeed(c.Seed, at))
-	mkFail := func(format string, args ...any) *Failure {
-		return &Failure{
-			Mode: ModeFailover, Seed: c.Seed, At: at, Events: c.Events,
-			Detail: fmt.Sprintf(format, args...), Segments: dumpSegments(memP),
-		}
-	}
+	pt := c.fault(ModeFailover, at, memP)
 
 	lp, err := wal.Open(c.walOptions(memP))
 	if err != nil {
-		return false, mkFail("primary Open: %v", err)
+		return false, pt.fail("primary Open: %v", err)
 	}
 	// The server is only the replication sender's shell here: the workload
 	// is appended directly to the WAL so the kill point is deterministic in
@@ -101,7 +73,7 @@ func (c Config) failoverPoint(events []wal.Event, at uint64) (done bool, fail *F
 	srv, err := server.New(server.Config{Log: lp})
 	if err != nil {
 		lp.Close()
-		return false, mkFail("primary server shell: %v", err)
+		return false, pt.fail("primary server shell: %v", err)
 	}
 	nopt := netserve.Options{
 		HeartbeatInterval: 50 * time.Millisecond,
@@ -117,7 +89,7 @@ func (c Config) failoverPoint(events []wal.Event, at uint64) (done bool, fail *F
 	addr, err := ns.Listen("127.0.0.1:0")
 	if err != nil {
 		srv.Stop()
-		return false, mkFail("primary listen: %v", err)
+		return false, pt.fail("primary listen: %v", err)
 	}
 
 	memR := faultfs.NewMem(pointSeed(c.Seed, at) ^ 0x5bd1e995)
@@ -139,7 +111,7 @@ func (c Config) failoverPoint(events []wal.Event, at uint64) (done bool, fail *F
 	if err != nil {
 		srv.Stop()
 		ns.Close()
-		return false, mkFail("replica Open: %v", err)
+		return false, pt.fail("replica Open: %v", err)
 	}
 	rp.Start()
 	standbyAddr, err := rp.Listen("127.0.0.1:0")
@@ -147,7 +119,7 @@ func (c Config) failoverPoint(events []wal.Event, at uint64) (done bool, fail *F
 		srv.Stop()
 		ns.Close()
 		_ = rp.Close()
-		return false, mkFail("standby listen: %v", err)
+		return false, pt.fail("standby listen: %v", err)
 	}
 
 	// Drive the workload, waiting for the replica's ack after every
@@ -164,7 +136,7 @@ func (c Config) failoverPoint(events []wal.Event, at uint64) (done bool, fail *F
 			srv.Stop()
 			ns.Close()
 			_ = rp.Close()
-			return false, mkFail("replica never reached acked seq %d (stuck at %d)", acked, rp.Seq())
+			return false, pt.fail("replica never reached acked seq %d (stuck at %d)", acked, rp.Seq())
 		}
 	}
 	if !memP.Dead() {
@@ -186,57 +158,57 @@ func (c Config) failoverPoint(events []wal.Event, at uint64) (done bool, fail *F
 	})
 	if err != nil {
 		_ = rp.Close()
-		return false, mkFail("standby dial during outage: %v", err)
+		return false, pt.fail("standby dial during outage: %v", err)
 	}
 	if _, err := cl.Query(client.Query{
 		Query: "status_q", Kind: deadline.Soft, Deadline: 1 << 20, MinUseful: 1,
 	}); err != nil {
 		cl.Close()
 		_ = rp.Close()
-		return false, mkFail("standby refused a soft query: %v", err)
+		return false, pt.fail("standby refused a soft query: %v", err)
 	}
 	if _, err := cl.Query(client.Query{
 		Query: "status_q", Kind: deadline.Firm, Deadline: 1 << 20, MinUseful: 1,
 	}); !errors.Is(err, client.ErrReadOnly) {
 		cl.Close()
 		_ = rp.Close()
-		return false, mkFail("standby served a firm query during outage (err=%v)", err)
+		return false, pt.fail("standby served a firm query during outage (err=%v)", err)
 	}
 	cl.Close()
 	ms := rp.Metrics.Snapshot()
 	if ms.QueriesIn != ms.QueriesAccounted() {
 		_ = rp.Close()
-		return false, mkFail("standby conservation broken: in=%d accounted=%d", ms.QueriesIn, ms.QueriesAccounted())
+		return false, pt.fail("standby conservation broken: in=%d accounted=%d", ms.QueriesIn, ms.QueriesAccounted())
 	}
 	if ms.Degraded == 0 {
 		_ = rp.Close()
-		return false, mkFail("soft query was served but not counted degraded")
+		return false, pt.fail("soft query was served but not counted degraded")
 	}
 
 	// Failover: promote, fence, and check the replicated recovery invariant.
 	epoch, err := rp.Promote()
 	if err != nil {
 		_ = rp.Close()
-		return false, mkFail("promote: %v", err)
+		return false, pt.fail("promote: %v", err)
 	}
 	if epoch < 2 {
 		_ = rp.Close()
-		return false, mkFail("promotion left epoch at %d", epoch)
+		return false, pt.fail("promotion left epoch at %d", epoch)
 	}
 	n := int(rp.Seq())
 	switch {
 	case n < acked:
 		_ = rp.Close()
-		return false, mkFail("replica has %d events but %d were acked (lost acked writes)", n, acked)
+		return false, pt.fail("replica has %d events but %d were acked (lost acked writes)", n, acked)
 	case n > acked+1:
 		_ = rp.Close()
-		return false, mkFail("replica has %d events but only %d were issued (double apply)", n, acked+1)
+		return false, pt.fail("replica has %d events but only %d were issued (double apply)", n, acked+1)
 	}
 	nl := rp.Log()
 	want := Reference(events[:n])
 	if d := want.Diff(nl.State()); d != "" {
 		_ = rp.Close()
-		return false, mkFail("promoted state != reference prefix %d: %s", n, d)
+		return false, pt.fail("promoted state != reference prefix %d: %s", n, d)
 	}
 
 	// The promoted log is live: an append past the failover lands.
@@ -244,12 +216,12 @@ func (c Config) failoverPoint(events []wal.Event, at uint64) (done bool, fail *F
 		post := wal.Sample(want.LastAt+1, "temp", "post-failover")
 		if err := nl.Append(post); err != nil {
 			_ = rp.Close()
-			return false, mkFail("append after promotion: %v", err)
+			return false, pt.fail("append after promotion: %v", err)
 		}
 	}
 	_ = rp.Close() // promoted: leaves the log to us
 	if err := nl.Close(); err != nil {
-		return false, mkFail("close promoted log: %v", err)
+		return false, pt.fail("close promoted log: %v", err)
 	}
 
 	// Fencing durability: the bumped epoch survives a restart of the node.
@@ -259,11 +231,11 @@ func (c Config) failoverPoint(events []wal.Event, at uint64) (done bool, fail *F
 		GroupWindow: c.GroupWindow,
 	})
 	if err != nil {
-		return false, mkFail("reopen promoted log: %v", err)
+		return false, pt.fail("reopen promoted log: %v", err)
 	}
 	defer l2.Close()
 	if got := l2.Epoch(); got != epoch {
-		return false, mkFail("promoted epoch %d not persisted (reopened as %d)", epoch, got)
+		return false, pt.fail("promoted epoch %d not persisted (reopened as %d)", epoch, got)
 	}
 	return false, nil
 }

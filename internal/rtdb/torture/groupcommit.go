@@ -46,91 +46,44 @@ func (c Config) GroupCommitSweep() *Report {
 	c.defaults()
 	c.GroupWindow = groupWindow
 	events := Workload(c.Seed, c.Events)
-	rep := &Report{}
 
-	// Crash half: power cut at every Stride-th mutating op.
-	start, stride := uint64(1), uint64(c.Stride)
-	if c.At > 0 {
-		start, stride = c.At, 0
-	}
-	for at := start; ; at += stride {
-		done, fail := c.groupCrashPoint(events, at)
-		if done {
-			break
-		}
-		rep.Points++
-		if fail != nil {
-			rep.Failures = append(rep.Failures, *fail)
-		} else {
-			rep.Recoveries++
-		}
-		if c.At > 0 {
-			break
-		}
-	}
-
-	// EIO half: one transient write fault at every Stride-th data write.
-	// Probe the faultless grouped run once to learn the write count.
+	// Probe the faultless grouped run once to learn the EIO half's write
+	// count.
 	probe := faultfs.NewMem(pointSeed(c.Seed, 0))
 	l, err := wal.Open(c.walOptions(probe))
 	if err != nil {
-		rep.Failures = append(rep.Failures, Failure{Mode: ModeGroupCommit, Seed: c.Seed, Events: c.Events, Detail: err.Error()})
-		return rep
+		return c.probeFailed(ModeGroupCommit, "%v", err)
 	}
 	issued := 0
 	for _, e := range events {
 		if _, err := l.AppendTicket(e, false); err != nil {
-			rep.Failures = append(rep.Failures, Failure{Mode: ModeGroupCommit, Seed: c.Seed, Events: c.Events,
-				Detail: fmt.Sprintf("faultless probe append failed: %v", err)})
-			return rep
+			return c.probeFailed(ModeGroupCommit, "faultless probe append failed: %v", err)
 		}
 		if issued++; issued%groupBatchEvery == 0 {
 			if err := l.Sync(); err != nil {
-				rep.Failures = append(rep.Failures, Failure{Mode: ModeGroupCommit, Seed: c.Seed, Events: c.Events,
-					Detail: fmt.Sprintf("faultless probe sync failed: %v", err)})
-				return rep
+				return c.probeFailed(ModeGroupCommit, "faultless probe sync failed: %v", err)
 			}
 		}
 	}
 	writes := probe.Writes()
 	l.Close()
 
-	start = uint64(1)
-	if c.At > 0 {
-		start = c.At
-	}
-	for at := start; at <= writes; at += uint64(c.Stride) {
-		rep.Points++
-		if fail := c.groupEIOPoint(events, at); fail != nil {
-			rep.Failures = append(rep.Failures, *fail)
-		} else {
-			rep.Recoveries++
-		}
-		if c.At > 0 {
-			break
-		}
-	}
-
-	if c.Logf != nil {
-		c.Logf("groupcommit sweep: seed=%d writes=%d points=%d recoveries=%d failures=%d",
-			c.Seed, writes, rep.Points, rep.Recoveries, len(rep.Failures))
-	}
-	return rep
+	return c.sweep(&Report{}, fmt.Sprintf("groupcommit sweep: writes=%d", writes),
+		// Crash half: power cut at every Stride-th mutating op.
+		pass{point: func(at uint64) (bool, *Failure) { return c.groupCrashPoint(events, at) }},
+		// EIO half: one transient write fault at every Stride-th data write.
+		pass{last: writes, point: func(at uint64) (bool, *Failure) { return false, c.groupEIOPoint(events, at) }},
+	)
 }
 
 // groupCrashPoint runs one grouped workload with a power cut armed at
 // mutating op `at`. done reports that `at` lies beyond the workload.
 func (c Config) groupCrashPoint(events []wal.Event, at uint64) (done bool, fail *Failure) {
 	mem := faultfs.NewMem(pointSeed(c.Seed, at))
-	mkFail := func(format string, args ...any) *Failure {
-		return &Failure{
-			Mode: ModeGroupCommit, Seed: c.Seed, At: at, Events: c.Events,
-			Detail: fmt.Sprintf(format, args...), Segments: dumpSegments(mem),
-		}
-	}
+	pt := c.fault(ModeGroupCommit, at, mem)
 	l, err := wal.Open(c.walOptions(mem))
 	if err != nil {
-		return false, mkFail("initial Open: %v", err)
+		return false, pt.fail("initial Open: %v", err)
 	}
 	mem.CrashAt(at)
 	var tickets []*wal.Ticket
@@ -165,11 +118,11 @@ func (c Config) groupCrashPoint(events []wal.Event, at uint64) (done bool, fail 
 	acked, firstErr := 0, -1
 	for i, t := range tickets {
 		if !t.Resolved() {
-			return false, mkFail("ticket %d (seq %d) never resolved after the cut", i, t.Seq())
+			return false, pt.fail("ticket %d (seq %d) never resolved after the cut", i, t.Seq())
 		}
 		if t.Wait() == nil {
 			if firstErr >= 0 {
-				return false, mkFail("nil-resolved tickets not a prefix: ticket %d committed after ticket %d failed", i, firstErr)
+				return false, pt.fail("nil-resolved tickets not a prefix: ticket %d committed after ticket %d failed", i, firstErr)
 			}
 			acked++
 		} else if firstErr < 0 {
@@ -179,50 +132,50 @@ func (c Config) groupCrashPoint(events []wal.Event, at uint64) (done bool, fail 
 
 	l2, err := wal.Open(c.walOptions(mem))
 	if err != nil {
-		return false, mkFail("recovery Open after crash: %v", err)
+		return false, pt.fail("recovery Open after crash: %v", err)
 	}
 	defer l2.Close()
 	n := int(l2.State().Events)
 	switch {
 	case n < acked:
-		return false, mkFail("recovered %d events but %d tickets committed (durability lost)", n, acked)
+		return false, pt.fail("recovered %d events but %d tickets committed (durability lost)", n, acked)
 	case n > issued+1:
-		return false, mkFail("recovered %d events but only %d were issued before the cut (resurrection)", n, issued+1)
+		return false, pt.fail("recovered %d events but only %d were issued before the cut (resurrection)", n, issued+1)
 	case n-acked > groupBatchEvery+1:
-		return false, mkFail("recovered %d events with only %d acked: more than one batch window survived unacked", n, acked)
+		return false, pt.fail("recovered %d events with only %d acked: more than one batch window survived unacked", n, acked)
 	}
 	if ds, sq := l2.DurableSeq(), l2.Seq(); ds != sq {
-		return false, mkFail("recovered log's durable tail %d != tail %d", ds, sq)
+		return false, pt.fail("recovered log's durable tail %d != tail %d", ds, sq)
 	}
 	want := Reference(events[:n])
 	if d := want.Diff(l2.State()); d != "" {
-		return false, mkFail("recovery invariant violated at prefix %d: %s", n, d)
+		return false, pt.fail("recovery invariant violated at prefix %d: %s", n, d)
 	}
 
 	// Idempotent: a second Open reproduces the identical state.
 	if err := l2.Close(); err != nil {
-		return false, mkFail("close after recovery: %v", err)
+		return false, pt.fail("close after recovery: %v", err)
 	}
 	l3, err := wal.Open(c.walOptions(mem))
 	if err != nil {
-		return false, mkFail("second recovery Open: %v", err)
+		return false, pt.fail("second recovery Open: %v", err)
 	}
 	defer l3.Close()
 	if d := want.Diff(l3.State()); d != "" {
-		return false, mkFail("recovery not idempotent: %s", d)
+		return false, pt.fail("recovery not idempotent: %s", d)
 	}
 
 	// Live: a grouped append past the crash lands and commits via Sync.
 	if n >= 2 { // catalog prologue replayed, image exists
 		t, err := l3.AppendTicket(wal.Sample(want.LastAt+1, "temp", "post-crash"), false)
 		if err != nil {
-			return false, mkFail("append after recovery: %v", err)
+			return false, pt.fail("append after recovery: %v", err)
 		}
 		if err := l3.Sync(); err != nil {
-			return false, mkFail("sync after recovery: %v", err)
+			return false, pt.fail("sync after recovery: %v", err)
 		}
 		if err := t.Wait(); err != nil {
-			return false, mkFail("post-crash ticket resolved %v after a clean sync", err)
+			return false, pt.fail("post-crash ticket resolved %v after a clean sync", err)
 		}
 	}
 	return false, nil
@@ -234,12 +187,7 @@ func (c Config) groupCrashPoint(events []wal.Event, at uint64) (done bool, fail 
 // every surviving ticket nil.
 func (c Config) groupEIOPoint(events []wal.Event, at uint64) *Failure {
 	mem := faultfs.NewMem(pointSeed(c.Seed, at))
-	mkFail := func(format string, args ...any) *Failure {
-		return &Failure{
-			Mode: ModeGroupCommit, Seed: c.Seed, At: at, Events: c.Events,
-			Detail: fmt.Sprintf(format, args...), Segments: dumpSegments(mem),
-		}
-	}
+	pt := c.fault(ModeGroupCommit, at, mem)
 	if at%2 == 0 {
 		mem.TearWrite(at)
 	} else {
@@ -247,7 +195,7 @@ func (c Config) groupEIOPoint(events []wal.Event, at uint64) *Failure {
 	}
 	l, err := wal.Open(c.walOptions(mem))
 	if err != nil {
-		return mkFail("Open: %v", err)
+		return pt.fail("Open: %v", err)
 	}
 	var acked []wal.Event
 	var tickets []*wal.Ticket
@@ -260,7 +208,7 @@ func (c Config) groupEIOPoint(events []wal.Event, at uint64) *Failure {
 			tickets = append(tickets, t)
 			if len(tickets)%groupBatchEvery == 0 {
 				if err := l.Sync(); err != nil {
-					return mkFail("sync failed after heal: %v", err)
+					return pt.fail("sync failed after heal: %v", err)
 				}
 			}
 		case errors.Is(err, faultfs.ErrInjected):
@@ -269,45 +217,45 @@ func (c Config) groupEIOPoint(events []wal.Event, at uint64) *Failure {
 			// The fault may have cost a catalog event; later events that
 			// depend on it are rightly rejected by validation.
 		default:
-			return mkFail("append returned unexpected error: %v", err)
+			return pt.fail("append returned unexpected error: %v", err)
 		}
 	}
 	// The final fsync covers the tail batch: every ticket must resolve nil
 	// — a healed transient fault never fails a committed neighbor.
 	if err := l.Sync(); err != nil {
-		return mkFail("final sync: %v", err)
+		return pt.fail("final sync: %v", err)
 	}
 	for i, t := range tickets {
 		if !t.Resolved() {
-			return mkFail("ticket %d (seq %d) unresolved after final sync", i, t.Seq())
+			return pt.fail("ticket %d (seq %d) unresolved after final sync", i, t.Seq())
 		}
 		if err := t.Wait(); err != nil {
-			return mkFail("ticket %d (seq %d) resolved %v; the transient fault leaked into the batch", i, t.Seq(), err)
+			return pt.fail("ticket %d (seq %d) resolved %v; the transient fault leaked into the batch", i, t.Seq(), err)
 		}
 	}
 	if perr := l.Err(); perr != nil {
-		return mkFail("transient fault poisoned the log: %v", perr)
+		return pt.fail("transient fault poisoned the log: %v", perr)
 	}
 	if faulted > 1 {
-		return mkFail("one injected write fault surfaced %d append errors", faulted)
+		return pt.fail("one injected write fault surfaced %d append errors", faulted)
 	}
 	if st := l.Stats(); st.GroupCommits == 0 {
-		return mkFail("grouped run recorded zero group commits (%d appends)", st.Appends)
+		return pt.fail("grouped run recorded zero group commits (%d appends)", st.Appends)
 	}
 	want := Reference(acked)
 	if d := want.Diff(l.State()); d != "" {
-		return mkFail("live state after heal: %s", d)
+		return pt.fail("live state after heal: %s", d)
 	}
 	if err := l.Close(); err != nil {
-		return mkFail("close: %v", err)
+		return pt.fail("close: %v", err)
 	}
 	l2, err := wal.Open(c.walOptions(mem))
 	if err != nil {
-		return mkFail("recovery Open: %v", err)
+		return pt.fail("recovery Open: %v", err)
 	}
 	defer l2.Close()
 	if d := want.Diff(l2.State()); d != "" {
-		return mkFail("recovered state != acked events: %s", d)
+		return pt.fail("recovered state != acked events: %s", d)
 	}
 	return nil
 }

@@ -77,8 +77,6 @@ func TestPartitionHammer(t *testing.T) {
 		DialTimeout:  150 * time.Millisecond,
 		RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
 		HeartbeatTimeout: 400 * time.Millisecond,
-		HandshakeTimeout: 500 * time.Millisecond,
-		WriteTimeout:     150 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +128,7 @@ func TestPartitionHammer(t *testing.T) {
 			}
 			select {
 			case <-monkeyStop:
-			case <-time.After(time.Duration(5 + rng.IntN(10)) * time.Millisecond):
+			case <-time.After(time.Duration(5+rng.IntN(10)) * time.Millisecond):
 			}
 			fab.Heal()
 		}

@@ -97,33 +97,15 @@ func (c Config) PartitionSweep() *Report {
 		rep.Failures = append(rep.Failures, *fail)
 		return rep
 	}
-	start, stride := uint64(1), uint64(c.Stride)
-	if c.At > 0 {
-		start, stride = c.At, 1
-	}
-	for at := start; at <= total; at += stride {
-		rep.Points++
+	rep.Streams = make(map[string][]byte)
+	point := func(at uint64) (bool, *Failure) {
 		_, stream, fail := c.partitionPoint(at)
-		if fail != nil {
-			rep.Failures = append(rep.Failures, *fail)
-		} else {
-			rep.Recoveries++
-		}
 		if len(stream) > 0 && len(rep.Streams) < 48 {
-			if rep.Streams == nil {
-				rep.Streams = make(map[string][]byte)
-			}
 			rep.Streams[fmt.Sprintf("seed%d-at%d", c.Seed, at)] = stream
 		}
-		if c.At > 0 {
-			break
-		}
+		return false, fail
 	}
-	if c.Logf != nil {
-		c.Logf("partition sweep: seed=%d ops=%d points=%d recoveries=%d failures=%d streams=%d",
-			c.Seed, total, rep.Points, rep.Recoveries, len(rep.Failures), len(rep.Streams))
-	}
-	return rep
+	return c.sweep(rep, fmt.Sprintf("partition sweep: ops=%d", total), pass{last: total, point: point})
 }
 
 // partitionPoint runs one full-stack workload with a network fault armed
@@ -138,12 +120,8 @@ func (c Config) partitionPoint(at uint64) (ops uint64, stream []byte, fail *Fail
 
 	fab := faultnet.NewFabric(ps)
 	defer fab.Close()
-	mkFail := func(format string, args ...any) *Failure {
-		return &Failure{
-			Mode: ModePartition, Seed: c.Seed, At: at, Events: c.Events,
-			Detail: fmt.Sprintf("[%s] ", scen.name) + fmt.Sprintf(format, args...),
-		}
-	}
+	pt := c.fault(ModePartition, at, nil)
+	pt.tag = "[" + scen.name + "] "
 	fired := func() bool { f, _ := fab.Fired(); return f }
 
 	// Primary: a full server (catalog, derivations, an alarm rule) behind
@@ -152,12 +130,12 @@ func (c Config) partitionPoint(at uint64) (ops uint64, stream []byte, fail *Fail
 	memP := faultfs.NewMem(ps)
 	lp, err := wal.Open(c.walOptions(memP))
 	if err != nil {
-		return 0, nil, mkFail("primary Open: %v", err)
+		return 0, nil, pt.fail("primary Open: %v", err)
 	}
 	srv, err := server.New(chaosServerConfig(lp, 6, 64))
 	if err != nil {
 		lp.Close()
-		return 0, nil, mkFail("primary server: %v", err)
+		return 0, nil, pt.fail("primary server: %v", err)
 	}
 	srv.Start()
 	ns := netserve.New(srv, netserve.Options{
@@ -171,7 +149,7 @@ func (c Config) partitionPoint(at uint64) (ops uint64, stream []byte, fail *Fail
 	if err != nil {
 		srv.Stop()
 		lp.Close()
-		return 0, nil, mkFail("primary listen: %v", err)
+		return 0, nil, pt.fail("primary listen: %v", err)
 	}
 	go func() { _ = ns.Serve(pln) }()
 
@@ -194,14 +172,12 @@ func (c Config) partitionPoint(at uint64) (ops uint64, stream []byte, fail *Fail
 		DialTimeout:  150 * time.Millisecond,
 		RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
 		HeartbeatTimeout: 300 * time.Millisecond,
-		HandshakeTimeout: 500 * time.Millisecond,
-		WriteTimeout:     150 * time.Millisecond,
 	})
 	if err != nil {
 		srv.Stop()
 		ns.Close()
 		lp.Close()
-		return 0, nil, mkFail("replica Open: %v", err)
+		return 0, nil, pt.fail("replica Open: %v", err)
 	}
 	rp.Start()
 	sln, err := fab.Listen(partStandby)
@@ -210,14 +186,14 @@ func (c Config) partitionPoint(at uint64) (ops uint64, stream []byte, fail *Fail
 		ns.Close()
 		_ = rp.Close()
 		lp.Close()
-		return 0, nil, mkFail("standby listen: %v", err)
+		return 0, nil, pt.fail("standby listen: %v", err)
 	}
 	if _, err := rp.ServeOn(sln); err != nil {
 		srv.Stop()
 		ns.Close()
 		_ = rp.Close()
 		lp.Close()
-		return 0, nil, mkFail("standby serve: %v", err)
+		return 0, nil, pt.fail("standby serve: %v", err)
 	}
 
 	// Arm before the first dial so handshake ops count toward the point.
@@ -252,10 +228,10 @@ func (c Config) partitionPoint(at uint64) (ops uint64, stream []byte, fail *Fail
 		hb = 30 * time.Millisecond
 	}
 	clOpts := client.Options{
-		Dialer:       fab.Dialer("client"),
-		DialTimeout:  120 * time.Millisecond,
-		CallTimeout:  500 * time.Millisecond,
-		WriteTimeout: 150 * time.Millisecond,
+		Dialer:        fab.Dialer("client"),
+		DialTimeout:   120 * time.Millisecond,
+		CallTimeout:   500 * time.Millisecond,
+		WriteTimeout:  150 * time.Millisecond,
 		RetryAttempts: 6,
 		RetryBackoff:  time.Millisecond, RetryBackoffMax: 10 * time.Millisecond,
 		HeartbeatInterval: hb,
@@ -270,7 +246,7 @@ func (c Config) partitionPoint(at uint64) (ops uint64, stream []byte, fail *Fail
 			teardown()
 			_ = rp.Close()
 			lp.Close()
-			return finish(mkFail("client dial with no fault fired: %v", err))
+			return finish(pt.fail("client dial with no fault fired: %v", err))
 		}
 		heal()
 		cl, err = client.Dial(partPrimary+","+partStandby, clOpts)
@@ -278,7 +254,7 @@ func (c Config) partitionPoint(at uint64) (ops uint64, stream []byte, fail *Fail
 			teardown()
 			_ = rp.Close()
 			lp.Close()
-			return finish(mkFail("post-heal client dial: %v", err))
+			return finish(pt.fail("post-heal client dial: %v", err))
 		}
 	}
 
@@ -294,7 +270,7 @@ func (c Config) partitionPoint(at uint64) (ops uint64, stream []byte, fail *Fail
 			teardown()
 			_ = rp.Close()
 			lp.Close()
-			return finish(mkFail("subscribe with no fault fired: %v", err))
+			return finish(pt.fail("subscribe with no fault fired: %v", err))
 		}
 		heal()
 		sub, err = cl.Subscribe(client.SubSpec{
@@ -305,7 +281,7 @@ func (c Config) partitionPoint(at uint64) (ops uint64, stream []byte, fail *Fail
 			teardown()
 			_ = rp.Close()
 			lp.Close()
-			return finish(mkFail("post-heal subscribe: %v", err))
+			return finish(pt.fail("post-heal subscribe: %v", err))
 		}
 	}
 	var cursorRegress string
@@ -387,16 +363,16 @@ func (c Config) partitionPoint(at uint64) (ops uint64, stream []byte, fail *Fail
 					teardown()
 					_ = rp.Close()
 					lp.Close()
-					return finish(mkFail("replica stalled at %d (want %d) with no fault", rp.Seq(), target))
+					return finish(pt.fail("replica stalled at %d (want %d) with no fault", rp.Seq(), target))
 				}
 			}
 		}
 	}
 
 	if scen.promote && fired() && !healed {
-		fail = c.partitionPromote(fab, cl, rp, srv, heal, mkFail)
+		fail = c.partitionPromote(fab, cl, rp, srv, heal, pt)
 	} else {
-		fail = c.partitionRideOut(fab, cl, rp, srv, ns, lp, heal, mkFail,
+		fail = c.partitionRideOut(fab, cl, rp, srv, ns, lp, heal, pt,
 			&acked, &pending, &pendingGen, totalSent, flushPending)
 	}
 
@@ -407,7 +383,7 @@ func (c Config) partitionPoint(at uint64) (ops uint64, stream []byte, fail *Fail
 	}
 	<-subDone
 	if fail == nil && cursorRegress != "" {
-		fail = mkFail("subscription cursor regressed: %s", cursorRegress)
+		fail = pt.fail("subscription cursor regressed: %s", cursorRegress)
 	}
 	cl.Close()
 	ns.Close()
@@ -432,7 +408,7 @@ func (c Config) partitionPoint(at uint64) (ops uint64, stream []byte, fail *Fail
 func (c Config) partitionRideOut(
 	fab *faultnet.Fabric, cl *client.Client, rp *replica.Replica,
 	srv *server.Server, ns *netserve.Server, lp *wal.Log,
-	heal func(), mkFail func(string, ...any) *Failure,
+	heal func(), pt *fault,
 	acked, pending *int, pendingGen *uint64, totalSent int, flushPending func() bool,
 ) *Failure {
 	heal()
@@ -466,28 +442,28 @@ func (c Config) partitionRideOut(
 		time.Sleep(2 * time.Millisecond)
 	}
 	if !flushed {
-		return mkFail("post-heal flush never reached the primary")
+		return pt.fail("post-heal flush never reached the primary")
 	}
 	fab.Heal()
 	if _, err := cl.Query(client.Query{
 		Query: "status_q", Kind: deadline.Soft, Deadline: 1 << 20, MinUseful: 1,
 	}); err != nil {
-		return mkFail("post-heal query: %v", err)
+		return pt.fail("post-heal query: %v", err)
 	}
 
 	// Durability and conservation on the primary.
 	if err := srv.Barrier(); err != nil {
-		return mkFail("post-heal barrier: %v", err)
+		return pt.fail("post-heal barrier: %v", err)
 	}
 	m := srv.Metrics.Snapshot()
 	if int(m.SamplesApplied) < *acked {
-		return mkFail("lost acked writes: %d acked, %d applied", *acked, m.SamplesApplied)
+		return pt.fail("lost acked writes: %d acked, %d applied", *acked, m.SamplesApplied)
 	}
 	if int(m.SamplesIn) > totalSent {
-		return mkFail("duplicated writes: %d sent, %d arrived", totalSent, m.SamplesIn)
+		return pt.fail("duplicated writes: %d sent, %d arrived", totalSent, m.SamplesIn)
 	}
 	if m.QueriesIn != m.QueriesAccounted() {
-		return mkFail("primary conservation broken: in=%d accounted=%d", m.QueriesIn, m.QueriesAccounted())
+		return pt.fail("primary conservation broken: in=%d accounted=%d", m.QueriesIn, m.QueriesAccounted())
 	}
 
 	// The replica converges to the primary's WAL tip and the replication
@@ -497,14 +473,14 @@ func (c Config) partitionRideOut(
 	for !rp.WaitSeq(seq, 50*time.Millisecond) {
 		fab.Heal()
 		if time.Since(start) > 5*time.Second {
-			return mkFail("replica never converged: at %d, primary at %d", rp.Seq(), seq)
+			return pt.fail("replica never converged: at %d, primary at %d", rp.Seq(), seq)
 		}
 	}
 	dl = time.Now().Add(5 * time.Second)
 	for ns.ReplDurable() < seq {
 		fab.Heal()
 		if time.Now().After(dl) {
-			return mkFail("durability watermark stuck at %d, primary at %d", ns.ReplDurable(), seq)
+			return pt.fail("durability watermark stuck at %d, primary at %d", ns.ReplDurable(), seq)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -512,7 +488,7 @@ func (c Config) partitionRideOut(
 	// Conservation on the standby side of the cut.
 	ms := rp.Metrics.Snapshot()
 	if ms.QueriesIn != ms.QueriesAccounted() {
-		return mkFail("standby conservation broken: in=%d accounted=%d", ms.QueriesIn, ms.QueriesAccounted())
+		return pt.fail("standby conservation broken: in=%d accounted=%d", ms.QueriesIn, ms.QueriesAccounted())
 	}
 	return nil
 }
@@ -524,21 +500,21 @@ func (c Config) partitionRideOut(
 func (c Config) partitionPromote(
 	fab *faultnet.Fabric, cl *client.Client, rp *replica.Replica,
 	srv *server.Server,
-	heal func(), mkFail func(string, ...any) *Failure,
+	heal func(), pt *fault,
 ) *Failure {
 	epoch, err := rp.Promote()
 	if err != nil {
-		return mkFail("promote during partition: %v", err)
+		return pt.fail("promote during partition: %v", err)
 	}
 	if epoch < 2 {
-		return mkFail("promotion left epoch at %d", epoch)
+		return pt.fail("promotion left epoch at %d", epoch)
 	}
 
 	// The client must find the promoted standby and learn the new epoch.
 	dl := time.Now().Add(5 * time.Second)
 	for cl.Epoch() < epoch {
 		if time.Now().After(dl) {
-			return mkFail("client never saw epoch %d (at %d)", epoch, cl.Epoch())
+			return pt.fail("client never saw epoch %d (at %d)", epoch, cl.Epoch())
 		}
 		_, _ = cl.Query(client.Query{
 			Query: "status_q", Kind: deadline.Soft, Deadline: 1 << 20, MinUseful: 1,
@@ -549,7 +525,7 @@ func (c Config) partitionPromote(
 	// Replicated durability across the failover: everything the client
 	// heard as replication-durable must be on the promoted standby.
 	if w := cl.Stats.MaxPrimarySeq.Load(); rp.Seq() < w {
-		return mkFail("promoted standby at %d below durable watermark %d", rp.Seq(), w)
+		return pt.fail("promoted standby at %d below durable watermark %d", rp.Seq(), w)
 	}
 
 	// Heal, then force the client back through the deposed primary: block
@@ -563,10 +539,10 @@ func (c Config) partitionPromote(
 		Query: "status_q", Kind: deadline.Soft, Deadline: 1 << 20, MinUseful: 1,
 	})
 	if cl.Stats.StaleRejected.Load() == before {
-		return mkFail("deposed primary recaptured the client: no stale rejection recorded")
+		return pt.fail("deposed primary recaptured the client: no stale rejection recorded")
 	}
 	if cl.Epoch() < epoch {
-		return mkFail("client epoch regressed to %d after meeting the deposed primary", cl.Epoch())
+		return pt.fail("client epoch regressed to %d after meeting the deposed primary", cl.Epoch())
 	}
 
 	// Lift the forced detour: the promoted standby must serve again.
@@ -579,22 +555,22 @@ func (c Config) partitionPromote(
 			break
 		}
 		if time.Now().After(dl) {
-			return mkFail("post-heal query never reached the promoted standby")
+			return pt.fail("post-heal query never reached the promoted standby")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 
 	// Conservation still holds on both sides of the healed cut.
 	if err := srv.Barrier(); err != nil {
-		return mkFail("deposed primary barrier: %v", err)
+		return pt.fail("deposed primary barrier: %v", err)
 	}
 	m := srv.Metrics.Snapshot()
 	if m.QueriesIn != m.QueriesAccounted() {
-		return mkFail("deposed primary conservation broken: in=%d accounted=%d", m.QueriesIn, m.QueriesAccounted())
+		return pt.fail("deposed primary conservation broken: in=%d accounted=%d", m.QueriesIn, m.QueriesAccounted())
 	}
 	ms := rp.Metrics.Snapshot()
 	if ms.QueriesIn != ms.QueriesAccounted() {
-		return mkFail("promoted standby conservation broken: in=%d accounted=%d", ms.QueriesIn, ms.QueriesAccounted())
+		return pt.fail("promoted standby conservation broken: in=%d accounted=%d", ms.QueriesIn, ms.QueriesAccounted())
 	}
 	return nil
 }

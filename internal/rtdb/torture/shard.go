@@ -99,7 +99,6 @@ func (c Config) ShardSweep() *Report {
 	if c.Shards <= 0 {
 		c.Shards = 4
 	}
-	rep := &Report{}
 	victims := make([]int, 0, c.Shards)
 	if c.At > 0 {
 		victims = append(victims, c.Victim%c.Shards)
@@ -109,32 +108,11 @@ func (c Config) ShardSweep() *Report {
 		}
 	}
 	w := makeShardWorkload(c.Seed, c.Events, c.Shards)
-	for _, victim := range victims {
-		start, stride := uint64(1), uint64(c.Stride)
-		if c.At > 0 {
-			start, stride = c.At, 0
-		}
-		for at := start; ; at += stride {
-			done, fail := c.shardPoint(w, victim, at)
-			if done {
-				break
-			}
-			rep.Points++
-			if fail != nil {
-				rep.Failures = append(rep.Failures, *fail)
-			} else {
-				rep.Recoveries++
-			}
-			if c.At > 0 {
-				break
-			}
-		}
+	passes := make([]pass, len(victims))
+	for i, victim := range victims {
+		passes[i].point = func(at uint64) (bool, *Failure) { return c.shardPoint(w, victim, at) }
 	}
-	if c.Logf != nil {
-		c.Logf("shard sweep: seed=%d shards=%d points=%d recoveries=%d failures=%d",
-			c.Seed, c.Shards, rep.Points, rep.Recoveries, len(rep.Failures))
-	}
-	return rep
+	return c.sweep(&Report{}, fmt.Sprintf("shard sweep: shards=%d", c.Shards), passes...)
 }
 
 // shardPoint runs one routed workload with a power cut armed at mutating
@@ -143,19 +121,15 @@ func (c Config) ShardSweep() *Report {
 func (c Config) shardPoint(w *shardWorkload, victim int, at uint64) (done bool, fail *Failure) {
 	mems := make([]*faultfs.Mem, c.Shards)
 	logs := make([]*wal.Log, c.Shards)
-	mkFail := func(format string, args ...any) *Failure {
-		return &Failure{
-			Mode: ModeShard, Seed: c.Seed, At: at, Events: c.Events, Victim: victim,
-			Detail: fmt.Sprintf(format, args...), Segments: dumpSegments(mems[victim]),
-		}
-	}
 	for s := 0; s < c.Shards; s++ {
 		mems[s] = faultfs.NewMem(pointSeed(c.Seed, at) ^ shardSalt(s))
 	}
+	pt := c.fault(ModeShard, at, mems[victim])
+	pt.Victim = victim
 	for s := 0; s < c.Shards; s++ {
 		l, err := wal.Open(c.walOptions(mems[s]))
 		if err != nil {
-			return false, mkFail("shard %d Open: %v", s, err)
+			return false, pt.fail("shard %d Open: %v", s, err)
 		}
 		logs[s] = l
 	}
@@ -175,7 +149,7 @@ func (c Config) shardPoint(w *shardWorkload, victim int, at uint64) (done bool, 
 			issued[se.shard] = append(issued[se.shard], se.e)
 			if err := logs[se.shard].Append(se.e); err != nil {
 				if se.shard != victim {
-					return false, mkFail("survivor shard %d append failed: %v", se.shard, err)
+					return false, pt.fail("survivor shard %d append failed: %v", se.shard, err)
 				}
 				victimDead = true
 				continue
@@ -207,7 +181,7 @@ func (c Config) shardPoint(w *shardWorkload, victim int, at uint64) (done bool, 
 		}
 		if s != victim {
 			if err := logs[s].Close(); err != nil {
-				return false, mkFail("survivor shard %d close: %v", s, err)
+				return false, pt.fail("survivor shard %d close: %v", s, err)
 			}
 		}
 	}
@@ -215,7 +189,7 @@ func (c Config) shardPoint(w *shardWorkload, victim int, at uint64) (done bool, 
 	for s := 0; s < c.Shards; s++ {
 		l2, err := wal.Open(c.walOptions(mems[s]))
 		if err != nil {
-			return false, mkFail("shard %d recovery Open: %v", s, err)
+			return false, pt.fail("shard %d recovery Open: %v", s, err)
 		}
 		st := l2.State()
 		n := int(st.Events)
@@ -226,21 +200,21 @@ func (c Config) shardPoint(w *shardWorkload, victim int, at uint64) (done bool, 
 		switch {
 		case s == victim && !c.NoSync && n < acked[s]:
 			l2.Close()
-			return false, mkFail("victim recovered %d events but %d were acked+fsynced (durability lost)", n, acked[s])
+			return false, pt.fail("victim recovered %d events but %d were acked+fsynced (durability lost)", n, acked[s])
 		case s == victim && n > acked[s]+1:
 			l2.Close()
-			return false, mkFail("victim recovered %d events but only %d were issued before the cut (resurrection)", n, acked[s]+1)
+			return false, pt.fail("victim recovered %d events but only %d were issued before the cut (resurrection)", n, acked[s]+1)
 		case s != victim && n != acked[s]:
 			l2.Close()
-			return false, mkFail("survivor shard %d recovered %d events, acked %d — survivors must be exact", s, n, acked[s])
+			return false, pt.fail("survivor shard %d recovered %d events, acked %d — survivors must be exact", s, n, acked[s])
 		case n > len(issued[s]):
 			l2.Close()
-			return false, mkFail("shard %d recovered %d events, only %d issued", s, n, len(issued[s]))
+			return false, pt.fail("shard %d recovered %d events, only %d issued", s, n, len(issued[s]))
 		}
 		want := Reference(issued[s][:n])
 		if d := want.Diff(st); d != "" {
 			l2.Close()
-			return false, mkFail("shard %d recovery invariant violated at prefix %d: %s", s, n, d)
+			return false, pt.fail("shard %d recovery invariant violated at prefix %d: %s", s, n, d)
 		}
 		if s == victim {
 			// Liveness: the recovered victim takes a post-crash append for
@@ -248,26 +222,26 @@ func (c Config) shardPoint(w *shardWorkload, victim int, at uint64) (done bool, 
 			for name := range st.Images {
 				if err := l2.Append(wal.Sample(st.LastAt+1, name, "post-crash")); err != nil {
 					l2.Close()
-					return false, mkFail("victim append after recovery: %v", err)
+					return false, pt.fail("victim append after recovery: %v", err)
 				}
 				break
 			}
 		}
 		if err := l2.Close(); err != nil {
-			return false, mkFail("shard %d close after recovery: %v", s, err)
+			return false, pt.fail("shard %d close after recovery: %v", s, err)
 		}
 	}
 
 	// Cross-shard sum conservation: the group as a whole may exceed its
 	// acknowledged writes by at most the victim's single in-flight append.
 	if recoveredSum < ackedSum || recoveredSum > ackedSum+1 {
-		return false, mkFail("cross-shard sum conservation violated: recovered %d, acked %d", recoveredSum, ackedSum)
+		return false, pt.fail("cross-shard sum conservation violated: recovered %d, acked %d", recoveredSum, ackedSum)
 	}
 	// No horizon regression: every acknowledged write is durable, so the
 	// consistent horizon recomputed from the recovered shards can never be
 	// behind the horizon the group had acknowledged.
 	if recHorizon < ackHorizon {
-		return false, mkFail("consistent horizon regressed: acked %d, recovered %d", ackHorizon, recHorizon)
+		return false, pt.fail("consistent horizon regressed: acked %d, recovered %d", ackHorizon, recHorizon)
 	}
 	return false, nil
 }

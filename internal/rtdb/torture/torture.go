@@ -146,6 +146,79 @@ func (r *Report) Merge(o *Report) {
 // Ok reports a clean sweep.
 func (r *Report) Ok() bool { return len(r.Failures) == 0 }
 
+// pass is one walk over a sweep's fault points: point runs the workload
+// with its fault armed at `at`, and last bounds the walk (0: until point
+// reports done — the fault point lies past the workload).
+type pass struct {
+	last  uint64
+	point func(at uint64) (done bool, fail *Failure)
+}
+
+// sweep is the one point loop every sweep drives. Each pass walks fault
+// points 1, 1+Stride, ... through its bound — or exactly At, the one-point
+// reproduction — and every outcome is tallied into rep. The summary line
+// goes to Logf under label.
+func (c Config) sweep(rep *Report, label string, passes ...pass) *Report {
+	for _, ps := range passes {
+		start := uint64(1)
+		if c.At > 0 {
+			start = c.At
+		}
+		for at := start; ps.last == 0 || at <= ps.last; at += uint64(c.Stride) {
+			done, fail := ps.point(at)
+			if done {
+				break
+			}
+			rep.Points++
+			if fail != nil {
+				rep.Failures = append(rep.Failures, *fail)
+			} else {
+				rep.Recoveries++
+			}
+			if c.At > 0 {
+				break
+			}
+		}
+	}
+	if c.Logf != nil {
+		streams := ""
+		if rep.Streams != nil {
+			streams = fmt.Sprintf(" streams=%d", len(rep.Streams))
+		}
+		c.Logf("%s seed=%d points=%d recoveries=%d failures=%d%s",
+			label, c.Seed, rep.Points, rep.Recoveries, len(rep.Failures), streams)
+	}
+	return rep
+}
+
+// fault names one fault point; its fail method is the one constructor
+// every point reports failures through. The post-fault segments of mem (if
+// any) ride along as fuzz seeds, and tag prefixes the detail.
+type fault struct {
+	Failure
+	mem *faultfs.Mem
+	tag string
+}
+
+// probeFailed reports a sweep whose faultless probe run failed.
+func (c Config) probeFailed(mode Mode, format string, args ...any) *Report {
+	return &Report{Failures: []Failure{*c.fault(mode, 0, nil).fail(format, args...)}}
+}
+
+// fault names fault point at of this sweep in the given mode.
+func (c Config) fault(mode Mode, at uint64, mem *faultfs.Mem) *fault {
+	return &fault{Failure: Failure{Mode: mode, Seed: c.Seed, At: at, Events: c.Events}, mem: mem}
+}
+
+func (f *fault) fail(format string, args ...any) *Failure {
+	out := f.Failure
+	out.Detail = f.tag + fmt.Sprintf(format, args...)
+	if f.mem != nil {
+		out.Segments = dumpSegments(f.mem)
+	}
+	return &out
+}
+
 const walDir = "wal"
 
 // Workload generates the seeded event sequence a sweep replays at every
@@ -232,46 +305,19 @@ func dumpSegments(mem *faultfs.Mem) map[string][]byte {
 func (c Config) CrashSweep() *Report {
 	c.defaults()
 	events := Workload(c.Seed, c.Events)
-	rep := &Report{}
-	start, stride := uint64(1), uint64(c.Stride)
-	if c.At > 0 {
-		start, stride = c.At, 0
-	}
-	for at := start; ; at += stride {
-		done, fail := c.crashPoint(events, at)
-		if done {
-			break
-		}
-		rep.Points++
-		if fail != nil {
-			rep.Failures = append(rep.Failures, *fail)
-		} else {
-			rep.Recoveries++
-		}
-		if c.At > 0 {
-			break
-		}
-	}
-	if c.Logf != nil {
-		c.Logf("crash sweep: seed=%d points=%d recoveries=%d failures=%d",
-			c.Seed, rep.Points, rep.Recoveries, len(rep.Failures))
-	}
-	return rep
+	return c.sweep(&Report{}, "crash sweep:", pass{point: func(at uint64) (bool, *Failure) {
+		return c.crashPoint(events, at)
+	}})
 }
 
 // crashPoint runs one workload with a power cut armed at mutating op `at`.
 // done reports that `at` lies beyond the workload (sweep complete).
 func (c Config) crashPoint(events []wal.Event, at uint64) (done bool, fail *Failure) {
 	mem := faultfs.NewMem(pointSeed(c.Seed, at))
-	mkFail := func(format string, args ...any) *Failure {
-		return &Failure{
-			Mode: ModeCrash, Seed: c.Seed, At: at, Events: c.Events,
-			Detail: fmt.Sprintf(format, args...), Segments: dumpSegments(mem),
-		}
-	}
+	pt := c.fault(ModeCrash, at, mem)
 	l, err := wal.Open(c.walOptions(mem))
 	if err != nil {
-		return false, mkFail("initial Open: %v", err)
+		return false, pt.fail("initial Open: %v", err)
 	}
 	mem.CrashAt(at)
 	acked := 0
@@ -290,35 +336,35 @@ func (c Config) crashPoint(events []wal.Event, at uint64) (done bool, fail *Fail
 
 	l2, err := wal.Open(c.walOptions(mem))
 	if err != nil {
-		return false, mkFail("recovery Open after crash: %v", err)
+		return false, pt.fail("recovery Open after crash: %v", err)
 	}
 	defer l2.Close()
 	n := int(l2.State().Events)
 	switch {
 	case !c.NoSync && n < acked:
-		return false, mkFail("recovered %d events but %d were acked+fsynced (durability lost)", n, acked)
+		return false, pt.fail("recovered %d events but %d were acked+fsynced (durability lost)", n, acked)
 	case n > acked+1:
-		return false, mkFail("recovered %d events but only %d were issued before the cut (resurrection)", n, acked+1)
+		return false, pt.fail("recovered %d events but only %d were issued before the cut (resurrection)", n, acked+1)
 	case n > len(events):
-		return false, mkFail("recovered %d events, workload only has %d", n, len(events))
+		return false, pt.fail("recovered %d events, workload only has %d", n, len(events))
 	}
 	want := Reference(events[:n])
 	if d := want.Diff(l2.State()); d != "" {
-		return false, mkFail("recovery invariant violated at prefix %d: %s", n, d)
+		return false, pt.fail("recovery invariant violated at prefix %d: %s", n, d)
 	}
 
 	// Recovery is idempotent: the first Open normalized the torn tail, so
 	// a second one must reproduce the identical state.
 	if err := l2.Close(); err != nil {
-		return false, mkFail("close after recovery: %v", err)
+		return false, pt.fail("close after recovery: %v", err)
 	}
 	l3, err := wal.Open(c.walOptions(mem))
 	if err != nil {
-		return false, mkFail("second recovery Open: %v", err)
+		return false, pt.fail("second recovery Open: %v", err)
 	}
 	defer l3.Close()
 	if d := want.Diff(l3.State()); d != "" {
-		return false, mkFail("recovery not idempotent: %s", d)
+		return false, pt.fail("recovery not idempotent: %s", d)
 	}
 
 	// The recovered log is live: an append past the crash lands and is
@@ -326,7 +372,7 @@ func (c Config) crashPoint(events []wal.Event, at uint64) (done bool, fail *Fail
 	post := wal.Sample(want.LastAt+1, "temp", "post-crash")
 	if n >= 2 { // catalog prologue replayed, image exists
 		if err := l3.Append(post); err != nil {
-			return false, mkFail("append after recovery: %v", err)
+			return false, pt.fail("append after recovery: %v", err)
 		}
 	}
 	return false, nil
@@ -344,51 +390,26 @@ func (c Config) EIOSweep() *Report {
 	// Probe the faultless run once to learn the write count.
 	probe := faultfs.NewMem(pointSeed(c.Seed, 0))
 	l, err := wal.Open(c.walOptions(probe))
-	rep := &Report{}
 	if err != nil {
-		rep.Failures = append(rep.Failures, Failure{Mode: ModeEIO, Seed: c.Seed, Events: c.Events, Detail: err.Error()})
-		return rep
+		return c.probeFailed(ModeEIO, "%v", err)
 	}
 	for _, e := range events {
 		if err := l.Append(e); err != nil {
-			rep.Failures = append(rep.Failures, Failure{Mode: ModeEIO, Seed: c.Seed, Events: c.Events,
-				Detail: fmt.Sprintf("faultless probe append failed: %v", err)})
-			return rep
+			return c.probeFailed(ModeEIO, "faultless probe append failed: %v", err)
 		}
 	}
 	writes := probe.Writes()
 	l.Close()
 
-	start, stride := uint64(1), uint64(c.Stride)
-	if c.At > 0 {
-		start, stride = c.At, 1
-	}
-	for at := start; at <= writes; at += stride {
-		rep.Points++
-		if fail := c.eioPoint(events, at); fail != nil {
-			rep.Failures = append(rep.Failures, *fail)
-		} else {
-			rep.Recoveries++
-		}
-		if c.At > 0 {
-			break
-		}
-	}
-	if c.Logf != nil {
-		c.Logf("eio sweep: seed=%d writes=%d points=%d recoveries=%d failures=%d",
-			c.Seed, writes, rep.Points, rep.Recoveries, len(rep.Failures))
-	}
-	return rep
+	return c.sweep(&Report{}, fmt.Sprintf("eio sweep: writes=%d", writes), pass{
+		last:  writes,
+		point: func(at uint64) (bool, *Failure) { return false, c.eioPoint(events, at) },
+	})
 }
 
 func (c Config) eioPoint(events []wal.Event, at uint64) *Failure {
 	mem := faultfs.NewMem(pointSeed(c.Seed, at))
-	mkFail := func(format string, args ...any) *Failure {
-		return &Failure{
-			Mode: ModeEIO, Seed: c.Seed, At: at, Events: c.Events,
-			Detail: fmt.Sprintf(format, args...), Segments: dumpSegments(mem),
-		}
-	}
+	pt := c.fault(ModeEIO, at, mem)
 	if at%2 == 0 {
 		mem.TearWrite(at)
 	} else {
@@ -396,7 +417,7 @@ func (c Config) eioPoint(events []wal.Event, at uint64) *Failure {
 	}
 	l, err := wal.Open(c.walOptions(mem))
 	if err != nil {
-		return mkFail("Open: %v", err)
+		return pt.fail("Open: %v", err)
 	}
 	var acked []wal.Event
 	faulted := 0
@@ -412,29 +433,29 @@ func (c Config) eioPoint(events []wal.Event, at uint64) *Failure {
 			// registration); later events depending on it are then rightly
 			// rejected by validation — neither acked nor applied.
 		default:
-			return mkFail("append returned unexpected error: %v", err)
+			return pt.fail("append returned unexpected error: %v", err)
 		}
 	}
 	if perr := l.Err(); perr != nil {
-		return mkFail("transient fault poisoned the log: %v", perr)
+		return pt.fail("transient fault poisoned the log: %v", perr)
 	}
 	if faulted > 1 {
-		return mkFail("one injected write fault surfaced %d append errors", faulted)
+		return pt.fail("one injected write fault surfaced %d append errors", faulted)
 	}
 	want := Reference(acked)
 	if d := want.Diff(l.State()); d != "" {
-		return mkFail("live state after heal: %s", d)
+		return pt.fail("live state after heal: %s", d)
 	}
 	if err := l.Close(); err != nil {
-		return mkFail("close: %v", err)
+		return pt.fail("close: %v", err)
 	}
 	l2, err := wal.Open(c.walOptions(mem))
 	if err != nil {
-		return mkFail("recovery Open: %v", err)
+		return pt.fail("recovery Open: %v", err)
 	}
 	defer l2.Close()
 	if d := want.Diff(l2.State()); d != "" {
-		return mkFail("recovered state != acked events: %s", d)
+		return pt.fail("recovered state != acked events: %s", d)
 	}
 	return nil
 }
@@ -449,10 +470,8 @@ func (c Config) RenameSweep() *Report {
 
 	probe := faultfs.NewMem(pointSeed(c.Seed, 0))
 	l, err := wal.Open(c.walOptions(probe))
-	rep := &Report{}
 	if err != nil {
-		rep.Failures = append(rep.Failures, Failure{Mode: ModeRename, Seed: c.Seed, Events: c.Events, Detail: err.Error()})
-		return rep
+		return c.probeFailed(ModeRename, "%v", err)
 	}
 	for _, e := range events {
 		l.Append(e)
@@ -460,60 +479,42 @@ func (c Config) RenameSweep() *Report {
 	renames := probe.Renames()
 	l.Close()
 
-	start := uint64(1)
-	if c.At > 0 {
-		start = c.At
-	}
-	for at := start; at <= renames; at++ {
-		rep.Points++
-		if fail := c.renamePoint(events, at); fail != nil {
-			rep.Failures = append(rep.Failures, *fail)
-		} else {
-			rep.Recoveries++
-		}
-		if c.At > 0 {
-			break
-		}
-	}
-	if c.Logf != nil {
-		c.Logf("rename sweep: seed=%d renames=%d points=%d recoveries=%d failures=%d",
-			c.Seed, renames, rep.Points, rep.Recoveries, len(rep.Failures))
-	}
-	return rep
+	// Every rename is swept regardless of Stride: a workload has only a
+	// handful of snapshots.
+	c.Stride = 1
+	return c.sweep(&Report{}, fmt.Sprintf("rename sweep: renames=%d", renames), pass{
+		last:  renames,
+		point: func(at uint64) (bool, *Failure) { return false, c.renamePoint(events, at) },
+	})
 }
 
 func (c Config) renamePoint(events []wal.Event, at uint64) *Failure {
 	mem := faultfs.NewMem(pointSeed(c.Seed, at))
-	mkFail := func(format string, args ...any) *Failure {
-		return &Failure{
-			Mode: ModeRename, Seed: c.Seed, At: at, Events: c.Events,
-			Detail: fmt.Sprintf(format, args...), Segments: dumpSegments(mem),
-		}
-	}
+	pt := c.fault(ModeRename, at, mem)
 	mem.FailRename(at)
 	l, err := wal.Open(c.walOptions(mem))
 	if err != nil {
-		return mkFail("Open: %v", err)
+		return pt.fail("Open: %v", err)
 	}
 	for i, e := range events {
 		if err := l.Append(e); err != nil {
-			return mkFail("append %d failed under a rename fault: %v", i, err)
+			return pt.fail("append %d failed under a rename fault: %v", i, err)
 		}
 	}
 	if st := l.Stats(); st.SnapshotErrors == 0 {
-		return mkFail("rename fault was never counted (SnapshotErrors=0, %d snapshots)", st.Snapshots)
+		return pt.fail("rename fault was never counted (SnapshotErrors=0, %d snapshots)", st.Snapshots)
 	}
 	if err := l.Close(); err != nil {
-		return mkFail("close: %v", err)
+		return pt.fail("close: %v", err)
 	}
 	want := Reference(events)
 	l2, err := wal.Open(c.walOptions(mem))
 	if err != nil {
-		return mkFail("recovery Open: %v", err)
+		return pt.fail("recovery Open: %v", err)
 	}
 	defer l2.Close()
 	if d := want.Diff(l2.State()); d != "" {
-		return mkFail("recovered state after failed snapshot rename: %s", d)
+		return pt.fail("recovered state after failed snapshot rename: %s", d)
 	}
 	return nil
 }
