@@ -12,11 +12,10 @@ import (
 )
 
 // Backend is the node a Server puts on the wire. The transport — the
-// handshake, one frame loop, one writer goroutine per connection, one push
-// pump per subscription, the replication sender — is the same for every
-// role; the backend supplies only what differs. New serves a primary
-// *server.Server; the replica package serves its hot standby through
-// NewNode.
+// handshake, one frame loop, one writer goroutine and one push pump per
+// connection, the replication sender — is the same for every role; the
+// backend supplies only what differs. New serves a primary *server.Server;
+// the replica package serves its hot standby through NewNode.
 type Backend interface {
 	// Sessions bounds the concurrent connections; Session is the request
 	// surface of pool slot id, bound to one connection at a time.
@@ -32,8 +31,9 @@ type Backend interface {
 	Vouched() uint64
 	// AsOf serves one temporal read, stamped with the horizon it saw.
 	AsOf(image string, at timeseq.Time) (v rtdb.Value, ok bool, horizon timeseq.Time)
-	// Subscribe attaches a standing query (envelope already translated).
-	Subscribe(spec sub.Spec, after uint64, depth int) (Sub, error)
+	// Subscribe attaches a standing query (envelope already translated)
+	// whose delivery queue wakes the connection's push pump on wake.
+	Subscribe(spec sub.Spec, after uint64, depth int, wake chan struct{}) (Sub, error)
 	// Counters is the block requests are accounted in; AppendRows adds the
 	// node's coordinate rows (wal_seq, epoch, ...) to a metrics reply.
 	Counters() *server.Metrics
@@ -50,13 +50,11 @@ type Session interface {
 	Flush() error
 }
 
-// Sub is one attached standing query as its push pump sees it
+// Sub is one attached standing query as the connection's push pump sees it
 // (*server.ServerSub on a primary): Pop accounts each delivery, Cancel
 // detaches and books whatever is still queued as dropped.
 type Sub interface {
 	Pop() (p sub.Push, droppedCum uint64, ok bool)
-	Notify() <-chan struct{}
-	Queue() *sub.Queue
 	Cancel() (lastCursor uint64, err error)
 }
 
@@ -111,8 +109,8 @@ func (p *primary) AsOf(image string, at timeseq.Time) (rtdb.Value, bool, timeseq
 	return v, ok, p.HistoryHorizon()
 }
 
-func (p *primary) Subscribe(spec sub.Spec, after uint64, depth int) (Sub, error) {
-	ss, err := p.Server.Subscribe(spec, after, depth)
+func (p *primary) Subscribe(spec sub.Spec, after uint64, depth int, wake chan struct{}) (Sub, error) {
+	ss, err := p.Server.Subscribe(spec, after, depth, wake)
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,16 @@
 package netserve
 
 import (
+	"bufio"
 	"fmt"
+	"net"
 	"sync/atomic"
 	"testing"
 
 	"rtc/internal/deadline"
 	"rtc/internal/rtdb/client"
 	"rtc/internal/rtdb/server"
+	"rtc/internal/rtwire"
 )
 
 // benchNet stands up a loopback server with nConns pre-dialed clients, so
@@ -91,4 +94,64 @@ func BenchmarkNetSample(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.StopTimer()
+}
+
+// BenchmarkNetPushFanout measures standing-query fan-out over loopback TCP:
+// subs subscriptions of one connection in one evaluation group, stepped by
+// Server.Tick. One iteration is one group tick — one evaluation, subs Push
+// frames on the wire, read back by a client that checks each frame's CRC
+// and kind without decoding it. It reports ns/push and the server's socket
+// writes per tick. Each iteration repeats the same work (no samples, so no
+// history grows), so ns/op is flat in b.N.
+func BenchmarkNetPushFanout(b *testing.B) {
+	for _, subs := range []int{16, 64} {
+		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
+			s, cl, addr := startCountingNet(b, Options{})
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer nc.Close()
+			br := bufio.NewReader(nc)
+			var rbuf []byte
+			expect := func(k rtwire.Kind) {
+				f, err := rtwire.ReadFrameBuf(br, &rbuf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if f.Kind != k {
+					b.Fatalf("read %v, want %v", f.Kind, k)
+				}
+			}
+			out := rtwire.Hello{Client: "fanout"}.Encode()
+			for id := 1; id <= subs; id++ {
+				out = rtwire.SubOpen{
+					ID: uint64(id), Query: "status_q", Period: fanoutPeriod,
+					Kind: deadline.Soft, Deadline: 1 << 20, Depth: 16,
+				}.AppendTo(out)
+			}
+			if _, err := nc.Write(out); err != nil {
+				b.Fatal(err)
+			}
+			expect(rtwire.KindWelcome)
+			for i := 0; i < subs; i++ {
+				expect(rtwire.KindSubAck)
+			}
+
+			b.ReportAllocs()
+			w0 := cl.writes.Load()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Tick(fanoutPeriod); err != nil {
+					b.Fatal(err)
+				}
+				for j := 0; j < subs; j++ {
+					expect(rtwire.KindPush)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*subs), "ns/push")
+			b.ReportMetric(float64(cl.writes.Load()-w0)/float64(b.N), "writes/tick")
+		})
+	}
 }

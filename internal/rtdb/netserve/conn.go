@@ -19,7 +19,7 @@ type conn struct {
 	// writeq is the bounded outgoing frame queue; writeLoop drains it.
 	// done closes after every producer is finished (inflight waited), so
 	// the writer can drain-and-exit without racing an enqueue.
-	writeq chan []byte
+	writeq chan outFrame
 	done   chan struct{}
 	wdone  chan struct{}
 
@@ -45,10 +45,22 @@ type conn struct {
 	ackCh chan uint64
 	repl  bool
 
-	// subs maps client-chosen subscription ids to their pumps. Only the
-	// read loop touches it (attach, cancel), so it needs no lock; pumps
-	// alive at connection teardown clean themselves up on rstop.
-	subs map[uint64]*subPump
+	// The push pump (subs.go): wake is the wake channel every delivery
+	// queue of this connection shares; subs, guarded by smu, lists the
+	// attached subscriptions in attach order. The read loop attaches and
+	// cancels, the pump drains, and on rstop it cancels what is still
+	// listed.
+	wake chan struct{}
+	smu  sync.Mutex
+	subs []*pushSub
+}
+
+// outFrame is one write-queue entry: encoded bytes holding a whole number
+// of frames — one for a reply, a tick's batch of Push frames from the push
+// pump — so the frame counters stay per frame, not per write.
+type outFrame struct {
+	b      []byte
+	frames int
 }
 
 // interruptRead unblocks a pending Read so the read loop can observe the
@@ -83,7 +95,7 @@ func (c *conn) putBuf(b []byte) {
 // wait during teardown.
 func (c *conn) enqueue(frame []byte) bool {
 	select {
-	case c.writeq <- frame:
+	case c.writeq <- outFrame{b: frame, frames: 1}:
 		return true
 	case <-c.done:
 		return false
@@ -95,7 +107,7 @@ func (c *conn) enqueue(frame []byte) bool {
 // dropped and counted rather than stalling the read loop.
 func (c *conn) tryEnqueue(frame []byte) bool {
 	select {
-	case c.writeq <- frame:
+	case c.writeq <- outFrame{b: frame, frames: 1}:
 		return true
 	default:
 		c.n.Wire.WriteDrops.Add(1)
@@ -109,9 +121,9 @@ func (c *conn) tryEnqueue(frame []byte) bool {
 func (c *conn) writeLoop() {
 	defer close(c.wdone)
 	bw := bufio.NewWriter(c.nc)
-	write := func(frame []byte) bool {
+	write := func(f outFrame) bool {
 		_ = c.nc.SetWriteDeadline(time.Now().Add(c.n.opt.WriteTimeout))
-		if _, err := bw.Write(frame); err != nil {
+		if _, err := bw.Write(f.b); err != nil {
 			return false
 		}
 		// Flush eagerly when the queue is empty; otherwise let frames
@@ -121,11 +133,11 @@ func (c *conn) writeLoop() {
 				return false
 			}
 		}
-		c.n.Wire.FramesOut.Add(1)
-		c.n.Wire.BytesOut.Add(uint64(len(frame)))
+		c.n.Wire.FramesOut.Add(uint64(f.frames))
+		c.n.Wire.BytesOut.Add(uint64(len(f.b)))
 		// bufio has copied (or directly written) the bytes; the buffer is
 		// free for the next response.
-		c.putBuf(frame)
+		c.putBuf(f.b)
 		return true
 	}
 	// fail is the write-error path: a client that cannot absorb frames
@@ -140,16 +152,16 @@ func (c *conn) writeLoop() {
 	}
 	for {
 		select {
-		case frame := <-c.writeq:
-			if !write(frame) {
+		case f := <-c.writeq:
+			if !write(f) {
 				fail()
 				return
 			}
 		case <-c.done:
 			for {
 				select {
-				case frame := <-c.writeq:
-					if !write(frame) {
+				case f := <-c.writeq:
+					if !write(f) {
 						c.discard()
 						return
 					}
@@ -167,14 +179,14 @@ func (c *conn) writeLoop() {
 func (c *conn) discard() {
 	for {
 		select {
-		case <-c.writeq:
-			c.n.Wire.WriteDrops.Add(1)
+		case f := <-c.writeq:
+			c.n.Wire.WriteDrops.Add(uint64(f.frames))
 		case <-c.done:
 			// Producers are gone; drop whatever is left.
 			for {
 				select {
-				case <-c.writeq:
-					c.n.Wire.WriteDrops.Add(1)
+				case f := <-c.writeq:
+					c.n.Wire.WriteDrops.Add(uint64(f.frames))
 				default:
 					return
 				}

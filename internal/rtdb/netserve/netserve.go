@@ -388,19 +388,22 @@ func (n *Server) handle(nc net.Conn) {
 	c := &conn{
 		n: n, nc: nc, br: br,
 		sess:   n.b.Session(session),
-		writeq: make(chan []byte, n.opt.WriteQueue),
+		writeq: make(chan outFrame, n.opt.WriteQueue),
 		done:   make(chan struct{}),
 		wdone:  make(chan struct{}),
 		rstop:  make(chan struct{}),
 		sem:    make(chan struct{}, n.opt.MaxInflight),
 		ackCh:  make(chan uint64, 16),
 		wfree:  make(chan []byte, n.opt.WriteQueue+1),
+		wake:   make(chan struct{}, 1),
 	}
 	n.register(c)
 	defer n.unregister(c)
 	defer n.Wire.ConnsClosed.Add(1)
 
 	go c.writeLoop()
+	c.inflight.Add(1)
+	go c.pushPump()
 	c.enqueue(rtwire.Welcome{
 		Session: uint64(session), Chronon: n.b.Now(),
 		Epoch: n.b.Epoch(), Role: n.b.Role(),
@@ -409,9 +412,10 @@ func (n *Server) handle(nc net.Conn) {
 
 	c.readLoop()
 
-	// Drain: stop the replication sender first (it exits on rstop, so the
-	// inflight wait below cannot deadlock on it), wait for in-flight
-	// queries/flushes to enqueue their responses, flush this connection's
+	// Drain: stop the replication sender and the push pump first (both
+	// exit on rstop, so the inflight wait below cannot deadlock on them;
+	// the pump cancels every subscription still attached), wait for
+	// in-flight queries/flushes to enqueue their responses, flush this connection's
 	// session so every sample it submitted is applied (SamplesIn ==
 	// SamplesApplied survives mid-flight shutdown), announce the close,
 	// then let the writer finish the queue.

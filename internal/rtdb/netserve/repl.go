@@ -257,7 +257,7 @@ func (c *conn) awaitAcks(sent, acked *uint64, hb *time.Ticker, heartbeat func())
 // on done (see serveReplication).
 func (c *conn) sendRepl(frame []byte) bool {
 	select {
-	case c.writeq <- frame:
+	case c.writeq <- outFrame{b: frame, frames: 1}:
 		return true
 	case <-c.rstop:
 		return false

@@ -17,9 +17,10 @@ import (
 
 // This file is the hot-standby serving surface: the netserve.Backend the
 // standby is served through, so both roles share netserve's one frame
-// loop, one writer per connection and one push pump per subscription. Reads are answered from the published as-of snapshot
-// (lock-free) or the query mirror (under mu); everything only a primary
-// may accept is refused through netserve's refusal table.
+// loop and its one writer and one push pump per connection. Reads are
+// answered from the published as-of snapshot (lock-free) or the query
+// mirror (under mu); everything only a primary may accept is refused
+// through netserve's refusal table.
 //
 // The serving contract (TestStandbyServingContract):
 //
@@ -45,6 +46,8 @@ import (
 // into the subscription's bounded drop-oldest sub.Queue — the same queue a
 // primary subscription has — so the tailer never writes to a client socket
 // and a stalled subscriber costs its own oldest pushes, never replication.
+// The queues are woken once the whole sweep is queued, so each connection's
+// push pump sends a sweep's fan-out in one write.
 
 // standbySessions bounds the standby's concurrent client connections. A
 // standby has no session queues; the bound only sizes netserve's pool.
@@ -210,8 +213,9 @@ func (s standby) AppendRows(dst []rtwire.MetricPair) []rtwire.MetricPair {
 
 // Subscribe admits a soft or deadline-free standing query the mirror can
 // serve; firm envelopes belong on the primary. Its queue holds depth
-// pushes, the server's default when the client leaves it 0.
-func (s standby) Subscribe(spec sub.Spec, after uint64, depth int) (netserve.Sub, error) {
+// pushes, the server's default when the client leaves it 0, and wakes the
+// connection's push pump on wake.
+func (s standby) Subscribe(spec sub.Spec, after uint64, depth int, wake chan struct{}) (netserve.Sub, error) {
 	r := s.r
 	if spec.Kind == deadline.Firm {
 		return nil, netserve.ErrReadOnly
@@ -227,7 +231,7 @@ func (s standby) Subscribe(spec sub.Spec, after uint64, depth int) (netserve.Sub
 		depth = server.DefaultSubQueueDepth
 	}
 	r.smu.Lock()
-	ss := &standbySub{r: r, s: r.subs.Attach(spec, after, depth, r.chronon())}
+	ss := &standbySub{r: r, s: r.subs.Attach(spec, after, depth, r.chronon(), wake)}
 	r.smu.Unlock()
 	r.Metrics.SubsOpened.Add(1)
 	return ss, nil
@@ -239,9 +243,6 @@ type standbySub struct {
 	r *Replica
 	s *sub.Sub
 }
-
-func (ss *standbySub) Notify() <-chan struct{} { return ss.s.Q.Notify() }
-func (ss *standbySub) Queue() *sub.Queue       { return ss.s.Q }
 
 // Pop dequeues the oldest push and accounts its delivery.
 func (ss *standbySub) Pop() (sub.Push, uint64, bool) {
@@ -271,7 +272,8 @@ func (ss *standbySub) Cancel() (uint64, error) {
 // serveSubTicks serves every standby tick the replicated horizon has
 // crossed. Every tick consumes a cursor and is expired by per-tick
 // admission or evaluated (once per group per sweep — the mirror is frozen
-// between batches) and queued; a queue overflow drops its oldest push.
+// between batches) and queued; a queue overflow drops its oldest push. Every
+// due member's queue is woken after the whole sweep is queued.
 func (r *Replica) serveSubTicks() {
 	r.smu.Lock()
 	defer r.smu.Unlock()
@@ -279,7 +281,8 @@ func (r *Replica) serveSubTicks() {
 		return
 	}
 	now := r.chronon()
-	for _, g := range r.subs.Due(now) {
+	due := r.subs.Due(now)
+	for _, g := range due {
 		var answers []string
 		evaluated, done := false, false
 		for g.Next() <= now {
@@ -316,5 +319,8 @@ func (r *Replica) serveSubTicks() {
 				}
 			}
 		}
+	}
+	for _, g := range due {
+		g.Wake()
 	}
 }

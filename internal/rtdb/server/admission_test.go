@@ -25,23 +25,23 @@ func TestAdmissionBoundaries(t *testing.T) {
 		admissionSkip         bool
 	}{
 		{
-			name: "firm deadline exactly at eval cost is late",
-			q:    QueryRequest{Query: "status_q", Kind: deadline.Firm, Deadline: 1, MinUseful: 1},
+			name:   "firm deadline exactly at eval cost is late",
+			q:      QueryRequest{Query: "status_q", Kind: deadline.Firm, Deadline: 1, MinUseful: 1},
 			missed: true, miss: true, admissionSkip: true,
 		},
 		{
-			name: "firm deadline one past eval cost is met",
-			q:    QueryRequest{Query: "status_q", Kind: deadline.Firm, Deadline: 2, MinUseful: 1},
+			name:      "firm deadline one past eval cost is met",
+			q:         QueryRequest{Query: "status_q", Kind: deadline.Firm, Deadline: 2, MinUseful: 1},
 			evaluated: true, useful: 1, hit: true,
 		},
 		{
-			name: "firm zero MinUseful means must-meet-deadline",
-			q:    QueryRequest{Query: "status_q", Kind: deadline.Firm, Deadline: 1},
+			name:   "firm zero MinUseful means must-meet-deadline",
+			q:      QueryRequest{Query: "status_q", Kind: deadline.Firm, Deadline: 1},
 			missed: true, miss: true, admissionSkip: true,
 		},
 		{
-			name: "soft late with no usefulness function decays to zero",
-			q:    QueryRequest{Query: "status_q", Kind: deadline.Soft, Deadline: 1, MinUseful: 1},
+			name:   "soft late with no usefulness function decays to zero",
+			q:      QueryRequest{Query: "status_q", Kind: deadline.Soft, Deadline: 1, MinUseful: 1},
 			missed: true, miss: true, admissionSkip: true,
 		},
 		{
@@ -74,18 +74,18 @@ func TestAdmissionBoundaries(t *testing.T) {
 			missed: true, useful: 2, miss: true, admissionSkip: true,
 		},
 		{
-			name: "class (i) no deadline is never late",
-			q:    QueryRequest{Query: "status_q"},
+			name:      "class (i) no deadline is never late",
+			q:         QueryRequest{Query: "status_q"},
 			evaluated: true, noDeadline: true,
 		},
 		{
-			name: "unknown query with a live deadline is a miss",
-			q:    QueryRequest{Query: "no_such_q", Kind: deadline.Firm, Deadline: 10, MinUseful: 1},
+			name:   "unknown query with a live deadline is a miss",
+			q:      QueryRequest{Query: "no_such_q", Kind: deadline.Firm, Deadline: 10, MinUseful: 1},
 			missed: true, miss: true,
 		},
 		{
-			name: "unknown query without deadline is not a miss",
-			q:    QueryRequest{Query: "no_such_q"},
+			name:       "unknown query without deadline is not a miss",
+			q:          QueryRequest{Query: "no_such_q"},
 			noDeadline: true,
 		},
 	}

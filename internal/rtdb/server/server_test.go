@@ -8,9 +8,9 @@ import (
 
 	"rtc/internal/deadline"
 	"rtc/internal/relational"
+	"rtc/internal/rtdb"
 	wal "rtc/internal/rtdb/log"
 	"rtc/internal/timeseq"
-	"rtc/internal/rtdb"
 )
 
 func statusDerive(src map[string]rtdb.Value) rtdb.Value {

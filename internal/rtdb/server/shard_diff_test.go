@@ -32,12 +32,12 @@ import (
 
 // diffOutcome is everything observable the driver collects from one run.
 type diffOutcome struct {
-	resps    []Response
-	asof     map[string]string // "obj@t" -> value ("?" when absent)
-	horizon  timeseq.Time
-	applied  uint64
-	queries  [4]uint64 // in, hit, miss, nodeadline
-	firings  uint64
+	resps     []Response
+	asof      map[string]string // "obj@t" -> value ("?" when absent)
+	horizon   timeseq.Time
+	applied   uint64
+	queries   [4]uint64 // in, hit, miss, nodeadline
+	firings   uint64
 	perObject map[string][]string // per-object WAL sample sequence "at=value"
 }
 

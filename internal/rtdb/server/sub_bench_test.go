@@ -22,7 +22,7 @@ func benchSpec() sub.Spec {
 func BenchmarkSubTick(b *testing.B) {
 	s := benchServer(b, 1, nil)
 	c := s.Session(0)
-	ss, err := s.Subscribe(benchSpec(), 0, 256)
+	ss, err := s.Subscribe(benchSpec(), 0, 256, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func BenchmarkSubscribeFanout(b *testing.B) {
 			c := s.Session(0)
 			subs := make([]*ServerSub, n)
 			for i := range subs {
-				ss, err := s.Subscribe(benchSpec(), 0, 256)
+				ss, err := s.Subscribe(benchSpec(), 0, 256, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -35,10 +35,12 @@ type ServerSub struct {
 // (deadline already translated, decay already shifted by the transport);
 // after is the cursor to continue from (0 for a fresh subscription, the
 // client's newest cursor on a resume); depth bounds the delivery queue
-// (0: Config.SubQueueDepth). Admission runs once here — a subscription
-// whose envelope is impossible is refused, not admitted-then-starved — and
-// again per tick against the live clock.
-func (s *Server) Subscribe(spec sub.Spec, after uint64, depth int) (*ServerSub, error) {
+// (0: Config.SubQueueDepth); wake is the delivery queue's wake channel — a
+// transport passes one channel for every subscription it drains with one
+// consumer, nil gives the queue its own (read it with Notify). Admission
+// runs once here — a subscription whose envelope is impossible is refused,
+// not admitted-then-starved — and again per tick against the live clock.
+func (s *Server) Subscribe(spec sub.Spec, after uint64, depth int, wake chan struct{}) (*ServerSub, error) {
 	if spec.Period == 0 {
 		return nil, fmt.Errorf("server: subscription needs a positive period")
 	}
@@ -67,7 +69,7 @@ func (s *Server) Subscribe(spec sub.Spec, after uint64, depth int) (*ServerSub, 
 	var ss *ServerSub
 	err := s.apply(func() {
 		now := timeseq.Time(s.clock.Load())
-		ss = &ServerSub{srv: s, s: s.subs.Attach(spec, after, depth, now)}
+		ss = &ServerSub{srv: s, s: s.subs.Attach(spec, after, depth, now, wake)}
 		s.Metrics.SubsOpened.Add(1)
 	})
 	if err != nil {
@@ -105,10 +107,6 @@ func (ss *ServerSub) Pop() (p sub.Push, droppedCum uint64, ok bool) {
 
 // Notify returns the delivery queue's wake channel.
 func (ss *ServerSub) Notify() <-chan struct{} { return ss.s.Q.Notify() }
-
-// Queue exposes the raw delivery queue (tests and benchmarks; transports
-// should use Pop so delivery is accounted).
-func (ss *ServerSub) Queue() *sub.Queue { return ss.s.Q }
 
 // Spec returns the attached envelope.
 func (ss *ServerSub) Spec() sub.Spec { return ss.s.Spec }
@@ -167,7 +165,11 @@ func (s *Server) runSubs() {
 	}
 }
 
-// serveGroupTick runs (or admission-skips) one due tick of one group.
+// serveGroupTick runs (or admission-skips) one due tick of one group. It
+// puts the tick into every member's queue before waking any of them: members
+// attached through one connection share its wake channel, so the whole
+// fan-out reaches that connection's push pump as one token and leaves in one
+// socket write.
 func (s *Server) serveGroupTick(g *sub.Group) {
 	now := timeseq.Time(s.clock.Load())
 	issue := g.Advance()
@@ -218,4 +220,5 @@ func (s *Server) serveGroupTick(g *sub.Group) {
 			s.Metrics.AccountPushDropped(1)
 		}
 	}
+	g.Wake()
 }

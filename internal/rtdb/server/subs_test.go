@@ -39,7 +39,7 @@ func TestSubscribePeriodicDelivery(t *testing.T) {
 	ss, err := s.Subscribe(sub.Spec{
 		Query: "status_q", Period: 4,
 		Kind: deadline.Firm, Deadline: 3, MinUseful: 1,
-	}, 0, 8)
+	}, 0, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestSubscribeGroupSharing(t *testing.T) {
 	spec := sub.Spec{Query: "temp_q", Period: 5, Kind: deadline.Soft, Deadline: 4, MinUseful: 0}
 	var subs []*ServerSub
 	for i := 0; i < 3; i++ {
-		ss, err := s.Subscribe(spec, 0, 8)
+		ss, err := s.Subscribe(spec, 0, 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,23 +129,23 @@ func TestSubscribeRefusals(t *testing.T) {
 	s.Start()
 	defer s.Stop()
 
-	if _, err := s.Subscribe(sub.Spec{Query: "nope_q", Period: 4}, 0, 8); err == nil {
+	if _, err := s.Subscribe(sub.Spec{Query: "nope_q", Period: 4}, 0, 8, nil); err == nil {
 		t.Fatal("unknown catalog query must be refused")
 	}
-	if _, err := s.Subscribe(sub.Spec{Query: "status_q"}, 0, 8); err == nil {
+	if _, err := s.Subscribe(sub.Spec{Query: "status_q"}, 0, 8, nil); err == nil {
 		t.Fatal("zero period must be refused")
 	}
 	// EvalCost 1 ≥ firm deadline 1: even an on-time start finishes late.
 	if _, err := s.Subscribe(sub.Spec{
 		Query: "status_q", Period: 4, Kind: deadline.Firm, Deadline: 1, MinUseful: 1,
-	}, 0, 8); !errors.Is(err, ErrNotAdmissible) {
+	}, 0, 8, nil); !errors.Is(err, ErrNotAdmissible) {
 		t.Fatalf("impossible firm envelope: err = %v, want ErrNotAdmissible", err)
 	}
 	// A deadline-free standing query at utilization ≥ 1 has nothing for
 	// admission to shed and is refused outright.
 	if _, err := s.Subscribe(sub.Spec{
 		Query: "status_q", Period: 1, Kind: deadline.None,
-	}, 0, 8); !errors.Is(err, ErrNotAdmissible) {
+	}, 0, 8, nil); !errors.Is(err, ErrNotAdmissible) {
 		t.Fatalf("deadline-free utilization ≥ 1: err = %v, want ErrNotAdmissible", err)
 	}
 	if n := s.Metrics.SubsOpened.Load(); n != 0 {
@@ -170,7 +170,7 @@ func TestPerTickAdmissionExpiry(t *testing.T) {
 	ss, err := s.Subscribe(sub.Spec{
 		Query: "status_q", Period: 5,
 		Kind: deadline.Firm, Deadline: 4, MinUseful: 1,
-	}, 0, 8)
+	}, 0, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestDropOldestAccounting(t *testing.T) {
 	s.Start()
 	defer s.Stop()
 
-	ss, err := s.Subscribe(sub.Spec{Query: "status_q", Period: 2, Kind: deadline.Soft, Deadline: 5}, 0, 1)
+	ss, err := s.Subscribe(sub.Spec{Query: "status_q", Period: 2, Kind: deadline.Soft, Deadline: 5}, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestSubscribeResumeContinuesCursor(t *testing.T) {
 	s.Start()
 	defer s.Stop()
 
-	ss, err := s.Subscribe(sub.Spec{Query: "status_q", Period: 3, Kind: deadline.Soft, Deadline: 5}, 7, 8)
+	ss, err := s.Subscribe(sub.Spec{Query: "status_q", Period: 3, Kind: deadline.Soft, Deadline: 5}, 7, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 // BenchmarkQueuePutPop is the per-push cost of the bounded delivery queue on
 // its hot path: one evaluator put, one transport pop, no contention.
 func BenchmarkQueuePutPop(b *testing.B) {
-	q := NewQueue(64)
+	q := NewQueue(64, nil)
 	p := Push{Cursor: 1, Useful: 1, Evaluated: true, Answers: []string{"high"}}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -26,7 +26,7 @@ func BenchmarkQueuePutPop(b *testing.B) {
 // BenchmarkQueueDropOldest measures the shed path: a full queue dropping its
 // head on every put, the slow-reader steady state.
 func BenchmarkQueueDropOldest(b *testing.B) {
-	q := NewQueue(4)
+	q := NewQueue(4, nil)
 	p := Push{Cursor: 1, Useful: 1, Evaluated: true}
 	for i := 0; i < 4; i++ {
 		q.Put(p)

@@ -3,13 +3,13 @@ package sub
 import "sync"
 
 // Queue is one subscriber's bounded delivery queue: a FIFO ring of stamped
-// pushes between the apply loop (Put) and the transport pump (Pop). When
-// the ring is full, Put discards the oldest queued push — the head, which
-// holds the minimum queued cursor — and counts it. Dropping from the head
-// is what keeps the cursor audit linear: by the time any push is delivered,
-// every smaller cursor has already been delivered, dropped, or expired, so
-// the cumulative counters reported alongside a push fully explain the gap
-// below it.
+// pushes between the apply loop (Put, then Wake) and the transport pump
+// (Pop). When the ring is full, Put discards the oldest queued push — the
+// head, which holds the minimum queued cursor — and counts it. Dropping
+// from the head is what keeps the cursor audit linear: by the time any push
+// is delivered, every smaller cursor has already been delivered, dropped,
+// or expired, so the cumulative counters reported alongside a push fully
+// explain the gap below it.
 type Queue struct {
 	mu      sync.Mutex
 	buf     []Push
@@ -19,22 +19,27 @@ type Queue struct {
 	notify  chan struct{}
 }
 
-// NewQueue builds a queue holding at most depth pushes (minimum 1).
-func NewQueue(depth int) *Queue {
+// NewQueue builds a queue holding at most depth pushes (minimum 1). wake is
+// the channel Wake posts to: queues drained by one consumer share it, so a
+// tick that fills many of them costs that consumer one wake-up. A nil wake
+// gives the queue a channel of its own.
+func NewQueue(depth int, wake chan struct{}) *Queue {
 	if depth < 1 {
 		depth = 1
 	}
-	return &Queue{
-		buf:    make([]Push, depth),
-		notify: make(chan struct{}, 1),
+	if wake == nil {
+		wake = make(chan struct{}, 1)
 	}
+	return &Queue{buf: make([]Push, depth), notify: wake}
 }
 
 // Put enqueues p, discarding the oldest queued push if the ring is full.
 // It reports whether a push was discarded — by overflow, or because the
 // queue is already closed (then p itself is the casualty) — so the caller
 // can account every casualty as dropped and keep the conservation law
-// airtight through teardown races.
+// airtight through teardown races. Put does not wake the consumer: the
+// producer fills every queue a tick feeds first, then wakes them (see
+// Group.Wake).
 func (q *Queue) Put(p Push) (dropped bool) {
 	q.mu.Lock()
 	if q.closed {
@@ -51,11 +56,16 @@ func (q *Queue) Put(p Push) (dropped bool) {
 	q.buf[(q.head+q.n)%len(q.buf)] = p
 	q.n++
 	q.mu.Unlock()
+	return dropped
+}
+
+// Wake posts one token on the wake channel unless one is already pending.
+// Queues sharing a channel collapse a burst of Wakes into one token.
+func (q *Queue) Wake() {
 	select {
 	case q.notify <- struct{}{}:
 	default:
 	}
-	return dropped
 }
 
 // Pop dequeues the oldest push. droppedCum is the queue's cumulative drop
@@ -75,8 +85,8 @@ func (q *Queue) Pop() (p Push, droppedCum uint64, ok bool) {
 	return p, q.dropped, true
 }
 
-// Notify returns the wake channel: Put and Close each post one token (if
-// none is pending), so a pump can sleep on it and drain on wake.
+// Notify returns the wake channel: Wake posts one token (if none is
+// pending), so a consumer can sleep on it and drain on wake.
 func (q *Queue) Notify() <-chan struct{} { return q.notify }
 
 // Len returns the number of queued pushes.
@@ -103,7 +113,8 @@ func (q *Queue) Closed() bool {
 // Close discards everything still queued and returns how many pushes it
 // discarded (already added to the cumulative drop count); later Puts count
 // themselves as dropped. The caller accounts the discards so undelivered
-// ticks stay visible in the server's books at teardown.
+// ticks stay visible in the server's books at teardown. Close does not
+// wake the consumer: whoever closes a queue also stops draining it.
 func (q *Queue) Close() (discarded int) {
 	q.mu.Lock()
 	if q.closed {
@@ -118,9 +129,5 @@ func (q *Queue) Close() (discarded int) {
 	}
 	q.head, q.n = 0, 0
 	q.mu.Unlock()
-	select {
-	case q.notify <- struct{}{}:
-	default:
-	}
 	return discarded
 }

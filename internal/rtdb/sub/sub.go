@@ -31,7 +31,11 @@
 // Ownership: Table, Group, and Sub bookkeeping (cursors, expiry tallies,
 // group schedules) belong to the server's apply loop — single-writer, no
 // locks. Queue is the only concurrent structure: the apply loop puts, one
-// transport pump pops.
+// consumer pops. Queues drained by the same consumer share one wake channel
+// — netserve runs one push pump per connection over every subscription
+// attached through it — and a group tick puts into every member's queue
+// before it wakes any of them, so the tick costs each connection one
+// wake-up and one coalesced socket write, not one per member.
 package sub
 
 import (

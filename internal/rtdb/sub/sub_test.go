@@ -7,7 +7,7 @@ import (
 )
 
 func TestQueueFIFOAndDropOldest(t *testing.T) {
-	q := NewQueue(3)
+	q := NewQueue(3, nil)
 	for c := uint64(1); c <= 5; c++ {
 		dropped := q.Put(Push{Cursor: c})
 		if want := c > 3; dropped != want {
@@ -30,7 +30,7 @@ func TestQueueFIFOAndDropOldest(t *testing.T) {
 }
 
 func TestQueueCloseAccountsEverything(t *testing.T) {
-	q := NewQueue(4)
+	q := NewQueue(4, nil)
 	q.Put(Push{Cursor: 1})
 	q.Put(Push{Cursor: 2})
 	if n := q.Close(); n != 2 {
@@ -53,26 +53,62 @@ func TestQueueCloseAccountsEverything(t *testing.T) {
 }
 
 func TestQueueNotify(t *testing.T) {
-	q := NewQueue(2)
+	q := NewQueue(2, nil)
 	select {
 	case <-q.Notify():
 		t.Fatal("spurious wake")
 	default:
 	}
+	// Put only fills the ring; the producer wakes the consumer once every
+	// queue of the tick is filled.
 	q.Put(Push{Cursor: 1})
 	select {
 	case <-q.Notify():
+		t.Fatal("Put posted a wake token")
 	default:
-		t.Fatal("Put did not post a wake token")
+	}
+	q.Wake()
+	select {
+	case <-q.Notify():
+	default:
+		t.Fatal("Wake did not post a wake token")
+	}
+}
+
+// TestQueueSharedWake: queues built over one wake channel collapse a tick's
+// Wakes into a single token, and closing one of them wakes nobody.
+func TestQueueSharedWake(t *testing.T) {
+	wake := make(chan struct{}, 1)
+	qs := []*Queue{NewQueue(2, wake), NewQueue(2, wake), NewQueue(2, wake)}
+	for i, q := range qs {
+		if q.Notify() != wake {
+			t.Fatalf("queue %d did not adopt the shared channel", i)
+		}
+		q.Put(Push{Cursor: 1})
+	}
+	for _, q := range qs {
+		q.Wake()
+	}
+	if len(wake) != 1 {
+		t.Fatalf("%d tokens pending after one tick, want 1", len(wake))
+	}
+	<-wake
+	// Closing one queue leaves the consumer of the others asleep.
+	qs[1].Close()
+	if len(wake) != 0 {
+		t.Fatal("Close posted a wake token")
+	}
+	if NewQueue(1, nil).Notify() == NewQueue(1, nil).Notify() {
+		t.Fatal("nil wake must give each queue its own channel")
 	}
 }
 
 func TestTableGroupingAndCursors(t *testing.T) {
 	tab := NewTable()
 	spec := Spec{Query: "status_q", Period: 4, Kind: deadline.Firm, Deadline: 2}
-	a := tab.Attach(spec, 0, 8, 100)
-	b := tab.Attach(spec, 0, 8, 100)
-	c := tab.Attach(Spec{Query: "status_q", Period: 8}, 0, 8, 100)
+	a := tab.Attach(spec, 0, 8, 100, nil)
+	b := tab.Attach(spec, 0, 8, 100, nil)
+	c := tab.Attach(Spec{Query: "status_q", Period: 8}, 0, 8, 100, nil)
 	if tab.Len() != 3 {
 		t.Fatalf("Len() = %d, want 3", tab.Len())
 	}
@@ -117,7 +153,7 @@ func TestTableGroupingAndCursors(t *testing.T) {
 func TestTableResumeContinuesCursor(t *testing.T) {
 	tab := NewTable()
 	spec := Spec{Query: "temp_q", Period: 2}
-	s := tab.Attach(spec, 41, 8, 10)
+	s := tab.Attach(spec, 41, 8, 10, nil)
 	if s.Base() != 41 || s.Cursor() != 41 {
 		t.Fatalf("resume base/cursor = %d/%d, want 41/41", s.Base(), s.Cursor())
 	}
@@ -158,5 +194,25 @@ func TestScoreMatchesDiscipline(t *testing.T) {
 	none := Spec{Kind: deadline.None}
 	if !none.Admissible(0, 1000) {
 		t.Fatal("no-deadline ticks are always admissible")
+	}
+}
+
+// TestGroupWakeOncePerChannel: a group tick wakes each run of members that
+// share a wake channel once, and a member with its own channel separately.
+func TestGroupWakeOncePerChannel(t *testing.T) {
+	tab := NewTable()
+	spec := Spec{Query: "status_q", Period: 4}
+	conn := make(chan struct{}, 1)
+	for i := 0; i < 3; i++ {
+		tab.Attach(spec, 0, 4, 0, conn)
+	}
+	own := tab.Attach(spec, 0, 4, 0, nil)
+	g := own.g
+	for _, m := range g.Members() {
+		m.Q.Put(Push{Cursor: m.AssignCursor()})
+	}
+	g.Wake()
+	if len(conn) != 1 || len(own.Q.Notify()) != 1 {
+		t.Fatalf("tokens: shared %d, own %d; want 1 each", len(conn), len(own.Q.Notify()))
 	}
 }

@@ -36,6 +36,19 @@ func (g *Group) Advance() (issue timeseq.Time) {
 // retain across table mutations).
 func (g *Group) Members() []*Sub { return g.members }
 
+// Wake wakes every member's delivery queue, once the tick has been put into
+// all of them. Consecutive members sharing a wake channel — subscriptions
+// attached through one connection — post one token between them.
+func (g *Group) Wake() {
+	var last chan struct{}
+	for _, m := range g.members {
+		if m.Q.notify != last {
+			last = m.Q.notify
+			m.Q.Wake()
+		}
+	}
+}
+
 // Sub is one attached subscription. Cursor and expiry bookkeeping are owned
 // by the apply loop; Q is the only field transports touch concurrently.
 type Sub struct {
@@ -88,15 +101,16 @@ func (t *Table) Len() int { return t.n }
 // a resume — delivery then continues at after+1, so cursors stay strictly
 // increasing across attachments and no acknowledged tick is replayed).
 // A new group's first tick is due one period after now; joining an existing
-// group adopts its schedule, so co-grouped members tick in lockstep.
-func (t *Table) Attach(spec Spec, after uint64, depth int, now timeseq.Time) *Sub {
+// group adopts its schedule, so co-grouped members tick in lockstep. wake is
+// the delivery queue's wake channel (see NewQueue; nil for its own).
+func (t *Table) Attach(spec Spec, after uint64, depth int, now timeseq.Time, wake chan struct{}) *Sub {
 	k := Key{Query: spec.Query, Period: spec.Period}
 	g, ok := t.groups[k]
 	if !ok {
 		g = &Group{key: k, next: now + spec.Period}
 		t.groups[k] = g
 	}
-	s := &Sub{Spec: spec, Q: NewQueue(depth), cursor: after, base: after, g: g}
+	s := &Sub{Spec: spec, Q: NewQueue(depth, wake), cursor: after, base: after, g: g}
 	g.members = append(g.members, s)
 	t.n++
 	return s

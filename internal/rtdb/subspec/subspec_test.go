@@ -148,7 +148,7 @@ func toSubSpec(s client.SubSpec) sub.Spec {
 }
 
 func (e *lbEnv) subscribe(t *testing.T, s client.SubSpec) (handle, error) {
-	ss, err := e.srv.Subscribe(toSubSpec(s), 0, int(s.Depth))
+	ss, err := e.srv.Subscribe(toSubSpec(s), 0, int(s.Depth), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +199,7 @@ func (e *lbEnv) failover(t *testing.T, hs ...handle) {
 	t.Cleanup(func() { s2.Stop() })
 	for _, h := range hs {
 		lh := h.(*lbHandle)
-		ss, err := e.srv.Subscribe(toSubSpec(lh.spec), lh.cur, int(lh.spec.Depth))
+		ss, err := e.srv.Subscribe(toSubSpec(lh.spec), lh.cur, int(lh.spec.Depth), nil)
 		if err != nil {
 			t.Fatalf("failover reattach: %v", err)
 		}
@@ -212,7 +212,7 @@ func (e *lbEnv) reattach(t *testing.T, lh *lbHandle) {
 	if _, err := lh.ss.Cancel(); err != nil {
 		t.Fatal(err)
 	}
-	ss, err := e.srv.Subscribe(toSubSpec(lh.spec), lh.cur, int(lh.spec.Depth))
+	ss, err := e.srv.Subscribe(toSubSpec(lh.spec), lh.cur, int(lh.spec.Depth), nil)
 	if err != nil {
 		t.Fatalf("reattach: %v", err)
 	}

@@ -9,8 +9,8 @@ import (
 
 	"rtc/internal/deadline"
 	"rtc/internal/faultfs"
-	wal "rtc/internal/rtdb/log"
 	"rtc/internal/rtdb"
+	wal "rtc/internal/rtdb/log"
 	"rtc/internal/rtdb/server"
 	"rtc/internal/timeseq"
 )
