@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -236,16 +237,10 @@ func runFanout(addr string, subscribers, writers, ops int, deadln, period uint64
 
 	// The server's own books, fetched over the wire: the push conservation
 	// law must close no matter what the clients saw.
-	c, err := client.Dial(addr, client.Options{Name: "fan-metrics", RetryAttempts: -1})
+	mm, err := shardBooks(addr, 0, 1, io.Discard)
 	if err != nil {
 		return err
 	}
-	defer c.Close()
-	m, err := c.Metrics()
-	if err != nil {
-		return err
-	}
-	mm := m.Map()
 	scheduled := mm["push_scheduled"]
 	accounted := mm["pushed"] + mm["push_dropped"] + mm["push_expired"]
 	if scheduled != accounted {

@@ -492,6 +492,53 @@ func (c *Client) Owns(object string) bool {
 	return c.shards <= 1 || uint64(rtwire.ShardOf(object, int(c.shards))) == c.shard
 }
 
+// Set is one logical connection to a sharded deployment: a client per
+// shard listener, shard 0 first, with object traffic routed by the
+// placement hash the listeners announce. A one-shard deployment is a Set
+// of one.
+type Set []*Client
+
+// DialSet dials every listener of a deployment (each address may itself
+// be a comma-separated failover list) and checks that listener i announces
+// shard i of len(addrs).
+func DialSet(addrs []string, opt Options) (Set, error) {
+	s := make(Set, 0, len(addrs))
+	for i, addr := range addrs {
+		c, err := Dial(addr, opt)
+		if err == nil && (c.Shards() != uint64(len(addrs)) || c.Shard() != uint64(i)) {
+			err = fmt.Errorf("client: listener %s announces shard %d of %d, listed as shard %d of %d (list shard 0 first)",
+				addr, c.Shard(), c.Shards(), i, len(addrs))
+			c.Close()
+		}
+		if err != nil {
+			s.Close()
+			return nil, err
+		}
+		s = append(s, c)
+	}
+	return s, nil
+}
+
+// For returns the client of the shard that owns object.
+func (s Set) For(object string) *Client { return s[s[0].ShardFor(object)] }
+
+// Flush flushes every shard's session, stopping at the first error.
+func (s Set) Flush() error {
+	for _, c := range s {
+		if err := c.Flush(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Close closes every shard's client.
+func (s Set) Close() {
+	for _, c := range s {
+		_ = c.Close()
+	}
+}
+
 // readLoop dispatches incoming frames to waiting callers until the
 // connection dies.
 func (c *Client) readLoop(conn net.Conn, br *bufio.Reader, gen int) {

@@ -270,12 +270,17 @@ func (c *conn) dispatch(f rtwire.Frame) bool {
 			ID: m.ID, OK: ok, Value: v, Horizon: horizon,
 		}.AppendTo(c.getBuf()))
 	case rtwire.MetricsReq:
-		snap := c.n.b.Counters().Snapshot()
-		pairs := snap.Pairs()
+		pairs := c.n.b.Counters().Snapshot().Pairs()
+		wp := make([]rtwire.MetricPair, 0, 2+len(pairs)+wireMetricCount)
 		if c.n.opt.Shards > 1 {
-			pairs = snap.PairsSharded(c.n.opt.Shard, c.n.opt.Shards)
+			// A sharded listener labels its table with two leading rows;
+			// the base rows keep their exact names, so tooling that reads
+			// counters by name reads a shard's table unchanged
+			// (TestShardMetricsRows pins both halves).
+			wp = append(wp,
+				rtwire.MetricPair{Name: "shard", Value: uint64(c.n.opt.Shard)},
+				rtwire.MetricPair{Name: "shards", Value: uint64(c.n.opt.Shards)})
 		}
-		wp := make([]rtwire.MetricPair, 0, len(pairs)+wireMetricCount)
 		for _, p := range pairs {
 			wp = append(wp, rtwire.MetricPair{Name: p.Name, Value: p.Value})
 		}

@@ -224,8 +224,20 @@ func (n *Server) Serve(ln net.Listener) error {
 				return err
 			}
 		}
-		n.Wire.ConnsAccepted.Add(1)
+		// Close may have begun while Accept was returning: register the
+		// handler under mu, where Close publishes quit before its Wait, so
+		// no wg.Add can race that Wait or start a handler after Close.
+		n.mu.Lock()
+		select {
+		case <-n.quit:
+			n.mu.Unlock()
+			_ = c.Close()
+			return ErrServerClosed
+		default:
+		}
 		n.wg.Add(1)
+		n.mu.Unlock()
+		n.Wire.ConnsAccepted.Add(1)
 		go n.handle(c)
 	}
 }

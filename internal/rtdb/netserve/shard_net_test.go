@@ -191,3 +191,43 @@ func TestShardMetricsRows(t *testing.T) {
 		t.Fatal("unsharded listener grew a shard row")
 	}
 }
+
+// TestShardChrononFromListeners: traffic that reaches the shards through
+// their own listeners never passes the router, so the routing clock stays
+// at 0 while every shard's clock moves. The aggregated chronon row must
+// report the furthest shard clock, not the idle routing clock.
+func TestShardChrononFromListeners(t *testing.T) {
+	const shards = 3
+	ss, addrs := startShardSet(t, shards, nil)
+
+	if _, err := client.DialSet([]string{addrs[1], addrs[0], addrs[2]}, client.Options{Name: "misordered"}); err == nil {
+		t.Fatal("DialSet accepted a shard list out of placement order")
+	}
+	set, err := client.DialSet(addrs, client.Options{Name: "chronon"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	for i := 0; i < 8*shards; i++ {
+		obj := fmt.Sprintf("obj-%02d", i%(4*shards))
+		if err := set.For(obj).InjectSample(obj, fmt.Sprintf("%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := set.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	var max uint64
+	for i := 0; i < shards; i++ {
+		if now := uint64(ss.Shard(i).Now()); now > max {
+			max = now
+		}
+	}
+	if ss.Now() != 0 {
+		t.Fatalf("routing clock moved to %d without routed traffic", ss.Now())
+	}
+	if got := ss.MetricsSnapshot().Chronon; max == 0 || got != max {
+		t.Fatalf("aggregated chronon = %d, want the largest shard clock %d", got, max)
+	}
+}

@@ -257,19 +257,6 @@ func (s MetricsSnapshot) Pairs() []MetricPair {
 	}
 }
 
-// PairsSharded is Pairs with the snapshot's shard identity prepended as
-// two extra rows, "shard" and "shards". The base rows keep their exact
-// names — tooling that resolves counters by name (rtdbload's wal_seq
-// durability lookup, dashboards keyed on queries_in) reads a sharded
-// node's table unchanged; the label rows only add where the table came
-// from. TestShardMetricsRows (netserve) pins both halves of that contract.
-func (s MetricsSnapshot) PairsSharded(shard, shards int) []MetricPair {
-	return append([]MetricPair{
-		{"shard", uint64(shard)},
-		{"shards", uint64(shards)},
-	}, s.Pairs()...)
-}
-
 // Table renders the block for the rtdbd metrics printout.
 func (s MetricsSnapshot) Table() string {
 	t := stats.NewTable("metric", "value")

@@ -136,14 +136,14 @@ type request struct {
 	issue timeseq.Time
 	// tick
 	chronons uint64
-	// stamped requests carry the chronon they must land at: the sharded
-	// router stamps every routed request with its global routing clock so a
+	// at is the chronon the request must land at: the sharded router
+	// stamps every routed request with its global routing clock so a
 	// shard's local clock mirrors the single-shard clock for the traffic it
 	// owns. The jump runs through tickTo, so periodic and subscription
 	// invocations that fell due during another shard's turn still fire at
-	// their own due chronons.
-	at      timeseq.Time
-	stamped bool
+	// their own due chronons. A stamp at or below the clock (0, or Now() for
+	// an unrouted query) is no jump.
+	at timeseq.Time
 	// apply: an arbitrary closure run on the apply loop (subscription
 	// attach/detach — anything that mutates apply-loop-owned state).
 	do    func()
@@ -363,18 +363,8 @@ func (s *Server) Epoch() uint64 {
 // idle time during which periodic queries still fire. It blocks until
 // applied.
 func (s *Server) Tick(n uint64) error {
-	reply := make(chan Response, 1)
-	select {
-	case s.inbox <- request{kind: reqTick, chronons: n, reply: reply}:
-	case <-s.quit:
-		return ErrClosed
-	}
-	select {
-	case <-reply:
-		return nil
-	case <-s.quit:
-		return ErrClosed
-	}
+	_, err := s.call(request{kind: reqTick, chronons: n})
+	return err
 }
 
 // TickTo advances the virtual clock to the absolute chronon at (a no-op if
@@ -382,34 +372,39 @@ func (s *Server) Tick(n uint64) error {
 // uses it to pull idle shards up to the global routing clock so the
 // cross-shard horizon never dangles behind a quiet lane.
 func (s *Server) TickTo(at timeseq.Time) error {
-	reply := make(chan Response, 1)
-	select {
-	case s.inbox <- request{kind: reqTick, stamped: true, at: at, reply: reply}:
-	case <-s.quit:
-		return ErrClosed
-	}
-	select {
-	case <-reply:
-		return nil
-	case <-s.quit:
-		return ErrClosed
-	}
+	_, err := s.call(request{kind: reqTick, at: at})
+	return err
 }
 
 // Barrier blocks until every request enqueued on the inbox before it has
 // been applied.
 func (s *Server) Barrier() error {
-	reply := make(chan Response, 1)
+	_, err := s.call(request{kind: reqBarrier})
+	return err
+}
+
+// call is one inbox round trip: it submits r straight to the apply loop
+// (bypassing the session queues) and blocks for the reply.
+func (s *Server) call(r request) (Response, error) {
+	r.reply = replyPool.Get().(chan Response)
 	select {
-	case s.inbox <- request{kind: reqBarrier, reply: reply}:
+	case s.inbox <- r:
 	case <-s.quit:
-		return ErrClosed
+		replyPool.Put(r.reply)
+		return Response{}, ErrClosed
 	}
+	return s.await(r.reply)
+}
+
+// await blocks for the reply to a submitted request. The channel returns
+// to the pool only once its response has been received (see replyPool).
+func (s *Server) await(reply chan Response) (Response, error) {
 	select {
-	case <-reply:
-		return nil
+	case resp := <-reply:
+		replyPool.Put(reply)
+		return resp, nil
 	case <-s.quit:
-		return ErrClosed
+		return Response{}, ErrClosed
 	}
 }
 
@@ -430,7 +425,7 @@ func (s *Server) applyLoop() {
 // invocations, and publishes as-of snapshots on period boundaries.
 func (s *Server) step(r request) {
 	now := timeseq.Time(s.clock.Load())
-	if r.stamped && r.at > now {
+	if r.at > now {
 		// A routed request from the sharded layer lands at its stamped
 		// chronon: advance through the gap as idle time (periodic and
 		// subscription dues fire at their own instants, exactly as they

@@ -64,57 +64,38 @@ func (c *Session) trySubmit(r request) bool {
 // asynchronous: the sample is applied by the server's apply loop. A full
 // queue returns ErrBackpressure.
 func (c *Session) InjectSample(image, value string) error {
-	if c.srv.closed.Load() {
-		return ErrClosed
-	}
-	c.srv.Metrics.SamplesIn.Add(1)
-	if !c.trySubmit(request{kind: reqSample, session: c.id, image: image, value: value}) {
-		c.srv.Metrics.SamplesIn.Add(^uint64(0)) // undo: never entered a queue
-		c.srv.Metrics.SamplesRejected.Add(1)
-		return ErrBackpressure
-	}
-	return nil
+	return c.injectSampleAt(image, value, 0)
 }
 
-// Query submits one aperiodic query and blocks for the response. A full
-// queue rejects immediately; for deadline-carrying queries the rejection is
-// accounted as a deadline miss (never silently dropped).
+// Query submits one aperiodic query, issued at the server's current
+// chronon, and blocks for the response. A full queue rejects immediately;
+// for deadline-carrying queries the rejection is accounted as a deadline
+// miss (never silently dropped).
 func (c *Session) Query(q QueryRequest) (Response, error) {
-	if c.srv.closed.Load() {
-		return Response{}, ErrClosed
-	}
-	c.srv.Metrics.QueriesIn.Add(1)
-	r := request{
-		kind: reqQuery, session: c.id, q: q,
-		issue: c.srv.Now(), reply: replyPool.Get().(chan Response),
-	}
-	if !c.trySubmit(r) {
-		c.srv.Metrics.QueriesRejected.Add(1)
-		if q.Kind != deadline.None {
-			c.srv.Metrics.RejectMiss.Add(1)
-		}
-		replyPool.Put(r.reply)
-		return Response{Missed: q.Kind != deadline.None, Issue: r.issue}, ErrBackpressure
-	}
-	select {
-	case resp := <-r.reply:
-		replyPool.Put(r.reply)
-		return resp, nil
-	case <-c.srv.quit:
-		return Response{}, ErrClosed
-	}
+	return c.queryAt(q, c.srv.Now())
 }
 
-// injectSampleAt is InjectSample with a routing-clock stamp: the sample is
-// applied at chronon at (or later, if the shard's own clock already passed
-// it). Only the sharded router submits stamped requests.
+// Flush blocks until everything this session enqueued before it has been
+// applied and is durable.
+func (c *Session) Flush() error {
+	_, err := c.flushAt(0)
+	return err
+}
+
+// The stamped forms below are the one implementation of each request. A
+// stamp is the chronon the request must land at: the apply loop first
+// advances idle time up to it (or does nothing if its clock already passed
+// it). The public forms stamp 0 or the server's own clock, which never
+// exceeds the apply loop's, so their requests land at the loop's clock;
+// the sharded router stamps its global routing clock.
+
+// injectSampleAt submits one sample to land at chronon at or later.
 func (c *Session) injectSampleAt(image, value string, at timeseq.Time) error {
 	if c.srv.closed.Load() {
 		return ErrClosed
 	}
 	c.srv.Metrics.SamplesIn.Add(1)
-	r := request{kind: reqSample, session: c.id, image: image, value: value, at: at, stamped: true}
-	if !c.trySubmit(r) {
+	if !c.trySubmit(request{kind: reqSample, session: c.id, image: image, value: value, at: at}) {
 		c.srv.Metrics.SamplesIn.Add(^uint64(0)) // undo: never entered a queue
 		c.srv.Metrics.SamplesRejected.Add(1)
 		return ErrBackpressure
@@ -122,9 +103,9 @@ func (c *Session) injectSampleAt(image, value string, at timeseq.Time) error {
 	return nil
 }
 
-// queryAt is Query with an explicit issue chronon taken from the routing
-// clock, so the deadline envelope is judged against global time rather than
-// the owning shard's (possibly lagging) local clock.
+// queryAt submits one query issued at chronon issue, so its deadline
+// envelope is judged from there rather than from the (possibly lagging)
+// clock of the shard that owns it.
 func (c *Session) queryAt(q QueryRequest, issue timeseq.Time) (Response, error) {
 	if c.srv.closed.Load() {
 		return Response{}, ErrClosed
@@ -132,8 +113,7 @@ func (c *Session) queryAt(q QueryRequest, issue timeseq.Time) (Response, error) 
 	c.srv.Metrics.QueriesIn.Add(1)
 	r := request{
 		kind: reqQuery, session: c.id, q: q,
-		issue: issue, at: issue, stamped: true,
-		reply: replyPool.Get().(chan Response),
+		issue: issue, at: issue, reply: replyPool.Get().(chan Response),
 	}
 	if !c.trySubmit(r) {
 		c.srv.Metrics.QueriesRejected.Add(1)
@@ -143,57 +123,25 @@ func (c *Session) queryAt(q QueryRequest, issue timeseq.Time) (Response, error) 
 		replyPool.Put(r.reply)
 		return Response{Missed: q.Kind != deadline.None, Issue: r.issue}, ErrBackpressure
 	}
-	select {
-	case resp := <-r.reply:
-		replyPool.Put(r.reply)
-		return resp, nil
-	case <-c.srv.quit:
-		return Response{}, ErrClosed
-	}
+	return c.srv.await(r.reply)
 }
 
-// flushAt is Flush with a routing-clock stamp: before the durability
-// barrier resolves, the shard's clock is pulled up to chronon at, so a
-// quiet shard's horizon advances with the rest of the group. It returns
-// the shard's clock at the barrier — periodic and subscription evaluations
-// advance a shard past the stamps it was routed, and the router folds that
-// drift back into the global clock at every flush point.
+// flushAt is the durability barrier, with the shard's clock pulled up to
+// chronon at before it resolves, so a quiet shard's horizon advances with
+// the rest of the group. It returns the clock at the barrier — periodic and
+// subscription evaluations advance a shard past the stamps it was routed,
+// and the router folds that drift back into the global clock at every
+// flush point.
 func (c *Session) flushAt(at timeseq.Time) (timeseq.Time, error) {
 	if c.srv.closed.Load() {
 		return 0, ErrClosed
 	}
-	r := request{kind: reqBarrier, session: c.id, at: at, stamped: true, reply: replyPool.Get().(chan Response)}
+	r := request{kind: reqBarrier, session: c.id, at: at, reply: replyPool.Get().(chan Response)}
 	select {
 	case c.queue <- r:
 	case <-c.srv.quit:
 		return 0, ErrClosed
 	}
-	select {
-	case resp := <-r.reply:
-		replyPool.Put(r.reply)
-		return resp.Served, nil
-	case <-c.srv.quit:
-		return 0, ErrClosed
-	}
-}
-
-// Flush blocks until everything this session enqueued before it has been
-// applied.
-func (c *Session) Flush() error {
-	if c.srv.closed.Load() {
-		return ErrClosed
-	}
-	r := request{kind: reqBarrier, session: c.id, reply: replyPool.Get().(chan Response)}
-	select {
-	case c.queue <- r:
-	case <-c.srv.quit:
-		return ErrClosed
-	}
-	select {
-	case <-r.reply:
-		replyPool.Put(r.reply)
-		return nil
-	case <-c.srv.quit:
-		return ErrClosed
-	}
+	resp, err := c.srv.await(r.reply)
+	return resp.Served, err
 }

@@ -120,11 +120,7 @@ func NewSharded(cfg ShardedConfig) (*ShardedServer, error) {
 		}
 	}
 	for i := 0; i < ss.shards[0].Sessions(); i++ {
-		t := &ShardedSession{id: i, ss: ss}
-		for _, sh := range ss.shards {
-			t.per = append(t.per, sh.Session(i))
-		}
-		ss.sessions = append(ss.sessions, t)
+		ss.sessions = append(ss.sessions, &ShardedSession{id: i, ss: ss})
 	}
 	return ss, nil
 }
@@ -267,14 +263,25 @@ func (ss *ShardedServer) Flush() error {
 	at := timeseq.Time(ss.rc.Load())
 	return ss.each(func(sh *Server) error {
 		for i := 0; i < sh.Sessions(); i++ {
-			served, err := sh.Session(i).flushAt(at)
-			if err != nil {
+			if err := ss.flushAt(sh.Session(i), at); err != nil {
 				return err
 			}
-			ss.rcMax(uint64(served))
 		}
 		return sh.apply(sh.publishSnapshot)
 	})
+}
+
+// flushAt flushes one shard session with the shard's clock pulled up to
+// the routing stamp at, then folds the shard's clock back into the routing
+// clock: periodic invocations advance a shard on their own (the router
+// never stamps them), and flush points are where that spent time becomes
+// global.
+func (ss *ShardedServer) flushAt(c *Session, at timeseq.Time) error {
+	served, err := c.flushAt(at)
+	if err == nil {
+		ss.rcMax(uint64(served))
+	}
+	return err
 }
 
 // RegisterPeriodic installs a standing periodic query on the shard owning
@@ -324,20 +331,24 @@ func (ss *ShardedServer) AsOf(q relational.Query, t timeseq.Time) (*relational.R
 // MetricsSnapshot aggregates the per-shard counter blocks. Each shard's
 // block satisfies the conservation laws independently, so their sum does
 // too — the cross-shard invariant the shard suites assert. Chronon reports
-// the routing clock; the max-semantics gauges take the max across shards.
+// the furthest clock: the routing clock, or a shard's own clock when
+// traffic reached it through its listener without passing the router. The
+// max-semantics gauges take the max across shards.
 func (ss *ShardedServer) MetricsSnapshot() MetricsSnapshot {
-	var out MetricsSnapshot
+	out := MetricsSnapshot{Chronon: ss.rc.Load()}
 	for _, sh := range ss.shards {
 		out.accumulate(sh.Metrics.Snapshot())
 	}
-	out.Chronon = ss.rc.Load()
 	return out
 }
 
-// accumulate folds another shard's snapshot into s: counters add, the
-// max-gauges (cascade depth, fsync max) take the max, and Chronon is left
-// to the caller (a sum of clocks means nothing).
+// accumulate folds another shard's snapshot into s: counters add, and
+// the clock and the max-gauges (cascade depth, fsync max) take the max (a
+// sum of clocks means nothing).
 func (s *MetricsSnapshot) accumulate(o MetricsSnapshot) {
+	if o.Chronon > s.Chronon {
+		s.Chronon = o.Chronon
+	}
 	s.SamplesIn += o.SamplesIn
 	s.SamplesRejected += o.SamplesRejected
 	s.SamplesApplied += o.SamplesApplied
@@ -378,9 +389,8 @@ func (s *MetricsSnapshot) accumulate(o MetricsSnapshot) {
 // ShardedSession is one client's handle on the composition: the same id on
 // every shard, with submissions routed and stamped.
 type ShardedSession struct {
-	id  int
-	ss  *ShardedServer
-	per []*Session
+	id int
+	ss *ShardedServer
 }
 
 // ID returns the session index.
@@ -391,7 +401,7 @@ func (t *ShardedSession) ID() int { return t.id }
 // single-shard apply loop spends one per sample).
 func (t *ShardedSession) InjectSample(image, value string) error {
 	at := timeseq.Time(t.ss.rc.Add(1) - 1)
-	return t.per[t.ss.ShardFor(image)].injectSampleAt(image, value, at)
+	return t.ss.shards[t.ss.ShardFor(image)].Session(t.id).injectSampleAt(image, value, at)
 }
 
 // Query routes one aperiodic query to its home shard, issued at the
@@ -400,7 +410,7 @@ func (t *ShardedSession) InjectSample(image, value string) error {
 // admission-skipped one spends nothing, exactly like the single-shard path.
 func (t *ShardedSession) Query(q QueryRequest) (Response, error) {
 	issue := timeseq.Time(t.ss.rc.Load())
-	resp, err := t.per[t.ss.homeShard(q.Query)].queryAt(q, issue)
+	resp, err := t.ss.shards[t.ss.homeShard(q.Query)].Session(t.id).queryAt(q, issue)
 	if err == nil && resp.Evaluated {
 		t.ss.rcMax(uint64(resp.Served))
 	}
@@ -409,22 +419,8 @@ func (t *ShardedSession) Query(q QueryRequest) (Response, error) {
 
 // Flush blocks until everything this session enqueued on any shard has
 // been applied and is durable, pulling each shard's clock up to the
-// routing clock on the way so idle lanes keep pace. The flush also folds
-// each shard's clock back into the routing clock: periodic invocations
-// advance a shard on their own (the router never stamps them), and flush
-// points are where that spent time becomes global.
+// routing clock on the way so idle lanes keep pace.
 func (t *ShardedSession) Flush() error {
 	at := timeseq.Time(t.ss.rc.Load())
-	var firstErr error
-	for _, s := range t.per {
-		served, err := s.flushAt(at)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		t.ss.rcMax(uint64(served))
-	}
-	return firstErr
+	return t.ss.each(func(sh *Server) error { return t.ss.flushAt(sh.Session(t.id), at) })
 }
